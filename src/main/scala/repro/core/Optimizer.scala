@@ -13,9 +13,11 @@ import repro.storage.Storage
   */
 object Optimizer {
 
+  /** The default search is bounded by nodes and iterations; the timeout
+    * is only a safety abort, so the plan does not depend on machine speed. */
   final case class Config(
-      stage1: SatConfig = SatConfig(maxIters = 20, maxNodes = 24000, timeoutMs = 5000),
-      stage2: SatConfig = SatConfig(maxIters = 20, maxNodes = 24000, timeoutMs = 5000),
+      stage1: SatConfig = SatConfig(maxIters = 20, maxNodes = 12000, timeoutMs = 60000),
+      stage2: SatConfig = SatConfig(maxIters = 20, maxNodes = 12000, timeoutMs = 60000),
       rounds1: Int = 2,
       rounds2: Int = 3,
       params: CostParams = CostParams())

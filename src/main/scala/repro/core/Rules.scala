@@ -16,7 +16,7 @@ import repro.egraph._
   * checks on that representative.
   */
 object Rules {
-  import Rule.{simple, fvAvoid, allOf}
+  import Rule.{simple, fvAvoid, allOf, onRepr}
 
   // ---- pattern/template shorthand -----------------------------------------
   private def pv(n: String) = PVar(n)
@@ -44,22 +44,22 @@ object Rules {
   private def shiftF(delta: Int, cutoff: Int = 0): Int => Int =
     i => if (i >= cutoff) i + delta else i
 
-  // conditions
+  // conditions, memoized per class for the iteration (see RuleCtx.holds)
   private def strictIn(n: String, ix: Int): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => Expr.isStrictIn(ctx.repr(s(n)), ix)
+    onRepr(n, ("strictIn", ix))((_, e) => Expr.isStrictIn(e, ix))
   private def linearIn(n: String, ix: Int): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => Expr.isLinearIn(ctx.repr(s(n)), ix)
+    onRepr(n, ("linearIn", ix))((_, e) => Expr.isLinearIn(e, ix))
   private def reprIsSum(n: String): (RuleCtx, Subst) => Boolean =
     (ctx, s) => ctx.repr(s(n)).isInstanceOf[Sum]
   private def scalarTyped(n: String): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => Expr.dictDepth(ctx.repr(s(n)), ctx.symIsScalar).contains(0)
+    onRepr(n, "scalarTyped")((ctx, e) => Expr.dictDepth(e, ctx.symIsScalar).contains(0))
   private def dictTyped(n: String): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => Expr.dictDepth(ctx.repr(s(n)), ctx.symIsScalar).exists(_ >= 1)
+    onRepr(n, "dictTyped")((ctx, e) => Expr.dictDepth(e, ctx.symIsScalar).exists(_ >= 1))
   private def reprSorted(n: String): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => ctx.repr(s(n)) match {
+    onRepr(n, "reprSorted")((_, e) => e match {
       case SubArr(_, _, _) | Rng(_, _) => true
       case _ => false
-    }
+    })
 
   // ---- associativity / commutativity (A1-A4, C1-C2) ------------------------
   private val assocComm = Seq(

@@ -39,8 +39,10 @@ final class EGraph {
 
   def canonicalize(n: ENode): ENode = n.map(find)
 
-  /** Number of e-nodes currently stored across all classes. */
-  def nodeCount: Int = classes.valuesIterator.map(_.size).sum
+  /** Number of e-nodes currently stored across all classes, kept by
+    * `add` and `repair` so that reading it costs nothing. */
+  private var nodes = 0
+  def nodeCount: Int = nodes
   def classCount: Int = classes.size
 
   def add(n0: ENode): Int = {
@@ -54,6 +56,7 @@ final class EGraph {
         parents(id) = mutable.ArrayBuffer.empty
         hashcons(n) = id
         memoCount += 1
+        nodes += 1
         n.children.foreach { c => parents(find(c)) += ((n, id)) }
         id
     }
@@ -108,6 +111,7 @@ final class EGraph {
     val cid = find(id0)
     classes.get(cid).foreach { ns =>
       val canon = ns.map(canonicalize).distinct
+      nodes += canon.size - ns.size
       classes(cid) = mutable.ArrayBuffer.from(canon)
       canon.foreach { n =>
         hashcons.get(n) match {

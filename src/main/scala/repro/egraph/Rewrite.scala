@@ -28,13 +28,23 @@ final class RuleCtx(val eg: EGraph, reprs: Map[Int, Expr],
                     val symIsScalar: String => Boolean = _ => false) {
   def repr(cls: Int): Expr =
     reprs.getOrElse(cls, reprs.getOrElse(eg.find(cls), Extract.smallest(eg, cls)))
+
+  private val facts = mutable.HashMap.empty[(Any, Int), Boolean]
+
+  /** `test` of the class's representative, decided once per class: the
+    * representative table is fixed for the whole iteration, so the memo
+    * is exact. Tests with equal keys share their answers. */
+  def holds(key: Any, cls: Int)(test: Expr => Boolean): Boolean =
+    facts.getOrElseUpdate((key, cls), test(repr(cls)))
 }
 
 final case class Rule(
     name: String,
     lhs: Pat,
     rhs: (RuleCtx, Subst) => Option[Int],
-    cond: (RuleCtx, Subst) => Boolean = (_, _) => true)
+    cond: (RuleCtx, Subst) => Boolean = (_, _) => true) {
+  val program: Program = Program.compile(lhs)
+}
 
 object Rule {
 
@@ -57,46 +67,64 @@ object Rule {
              cond: (RuleCtx, Subst) => Boolean = (_, _) => true): Rule =
     Rule(name, lhs, (ctx, s) => Some(instantiate(ctx, s, rhs)), cond)
 
+  /** Condition on the representative of the class bound to `n`,
+    * memoized per class for the iteration under `key` (see
+    * [[RuleCtx.holds]]). */
+  def onRepr(n: String, key: Any)(test: (RuleCtx, Expr) => Boolean): (RuleCtx, Subst) => Boolean =
+    (ctx, s) => ctx.holds(key, s(n))(test(ctx, _))
+
   /** Condition: the matched class has a representative whose free
     * variables avoid `banned` — sound because any representative without
     * the variable denotes a value independent of it. */
   def fvAvoid(n: String, banned: Set[Int]): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => Expr.freeVars(ctx.repr(s(n))).intersect(banned).isEmpty
+    onRepr(n, ("fvAvoid", banned))((_, e) => Expr.freeVars(e).intersect(banned).isEmpty)
 
   def allOf(cs: ((RuleCtx, Subst) => Boolean)*): (RuleCtx, Subst) => Boolean =
     (ctx, s) => cs.forall(_(ctx, s))
 }
 
-/** Saturation limits and the metrics the paper reports in Table 4. */
+/** Saturation limits and the metrics the paper reports in Table 4. The
+  * node budget is checked between iterations, as in egg: an iteration
+  * applies all of its matches, so no rule late in the list is starved.
+  * The timeout is a safety abort, also checked between iterations. */
 final case class SatConfig(
     maxIters: Int = 30,
     maxNodes: Int = 20000,
-    timeoutMs: Long = 5000,
-    /** Cap on matches applied per rule per iteration (search pruning);
-      * effectively uncapped by default — the node budget is the real
-      * limit, and a small cap starves matches on later-derived classes. */
-    maxMatchesPerRule: Int = 1000000)
+    timeoutMs: Long = 5000)
 
+/** `stop` is why the run ended: [[RunStats.Saturated]], [[RunStats.NodeCap]],
+  * [[RunStats.IterCap]] or [[RunStats.Timeout]]. */
 final case class RunStats(
     timeMs: Double, iters: Int, nodes: Int, classes: Int, memos: Long,
-    saturated: Boolean) {
+    saturated: Boolean, stop: String = RunStats.Saturated) {
+  /** Aggregate of consecutive runs; keeps the first stop reason that is
+    * not [[RunStats.Saturated]]. */
   def +(o: RunStats): RunStats = RunStats(
     timeMs + o.timeMs, iters + o.iters, math.max(nodes, o.nodes),
-    math.max(classes, o.classes), memos + o.memos, saturated && o.saturated)
+    math.max(classes, o.classes), memos + o.memos, saturated && o.saturated,
+    if (stop != RunStats.Saturated) stop else o.stop)
+}
+
+object RunStats {
+  val Saturated = "saturated"
+  val NodeCap = "node_cap"
+  val IterCap = "iter_cap"
+  val Timeout = "timeout"
 }
 
 object Saturate {
 
   /** Run equality saturation: repeatedly e-match all rules against all
     * classes, apply the matches, and rebuild congruence, until nothing
-    * changes or a limit is hit (Sec. 5.3). */
+    * changes or a limit is hit (Sec. 5.3). Limits are checked after each
+    * rebuild, in the order saturated, node cap, timeout, iteration cap. */
   def run(eg: EGraph, rules: Seq[Rule], cfg: SatConfig = SatConfig(),
           symIsScalar: String => Boolean = _ => false): RunStats = {
     val t0 = System.nanoTime()
     var iter = 0
-    var saturated = false
-    var stop = false
-    while (!stop && iter < cfg.maxIters) {
+    var elapsed = 0.0
+    var stop: String = null
+    while (stop == null && iter < cfg.maxIters) {
       iter += 1
       val reprs = Extract.reprTable(eg)
       val ctx = new RuleCtx(eg, reprs, symIsScalar)
@@ -105,41 +133,27 @@ object Saturate {
 
       // Collect matches first (egg-style), then apply.
       val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
-      val ids = eg.classIds
+      val index = new RootIndex(eg, eg.classIds)
       rules.foreach { rule =>
-        var count = 0
-        var i = 0
-        while (i < ids.length && count < cfg.maxMatchesPerRule) {
-          val cls = ids(i)
-          if (eg.classes.contains(eg.find(cls))) {
-            Matcher.matches(eg, rule.lhs, cls).foreach { s =>
-              if (count < cfg.maxMatchesPerRule && rule.cond(ctx, s)) {
-                matches += ((rule, s, eg.find(cls)))
-                count += 1
-              }
-            }
+        index.candidates(rule.program).foreach { cls =>
+          rule.program.search(eg, cls) { s =>
+            if (rule.cond(ctx, s)) matches += ((rule, s, cls))
           }
-          i += 1
         }
       }
 
       matches.foreach { case (rule, s, cls) =>
-        if (eg.nodeCount < cfg.maxNodes) {
-          rule.rhs(ctx, s).foreach { newCls =>
-            eg.union(cls, newCls)
-          }
-        }
+        rule.rhs(ctx, s).foreach(newCls => eg.union(cls, newCls))
       }
       eg.rebuild()
 
-      val elapsed = (System.nanoTime() - t0) / 1e6
-      if (eg.version == versionBefore && eg.memoCount == memoBefore) {
-        saturated = true; stop = true
-      } else if (eg.nodeCount >= cfg.maxNodes || elapsed >= cfg.timeoutMs) {
-        stop = true
-      }
+      elapsed = (System.nanoTime() - t0) / 1e6
+      if (eg.version == versionBefore && eg.memoCount == memoBefore) stop = RunStats.Saturated
+      else if (eg.nodeCount >= cfg.maxNodes) stop = RunStats.NodeCap
+      else if (elapsed >= cfg.timeoutMs) stop = RunStats.Timeout
     }
-    RunStats((System.nanoTime() - t0) / 1e6, iter, eg.nodeCount, eg.classCount,
-      eg.memoCount, saturated)
+    if (stop == null) stop = RunStats.IterCap
+    RunStats(elapsed, iter, eg.nodeCount, eg.classCount, eg.memoCount,
+      stop == RunStats.Saturated, stop)
   }
 }

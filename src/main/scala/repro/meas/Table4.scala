@@ -51,13 +51,13 @@ object Table4 {
 
   def render(rows: Seq[Row]): String =
     Bench.table(
-      Seq("Kernel", "Stage", "Time(ms)", "Iters", "Nodes", "Classes", "Memos",
+      Seq("Kernel", "Stage", "Time(ms)", "Iters", "Nodes", "Classes", "Memos", "Stop",
           "Paper(T/I/N/C/M)"),
       rows.map { r =>
         val p = paper.get((r.kernel, r.stage))
           .map { case (t, i, n, c, m) => s"$t/$i/$n/$c/$m" }.getOrElse("-")
         Seq(r.kernel, r.stage.toString, Bench.ms(r.stats.timeMs),
           r.stats.iters.toString, r.stats.nodes.toString,
-          r.stats.classes.toString, r.stats.memos.toString, p)
+          r.stats.classes.toString, r.stats.memos.toString, r.stats.stop, p)
       })
 }

@@ -133,6 +133,23 @@ class OptimizerSpec extends AnyFunSuite {
     assert(tOpt < tNaive, "optimized plan should be faster than naive")
   }
 
+  test("default config: BATAX/CSR on the Table 3 workload is budget-bound, not time-bound") {
+    val w = repro.meas.Table3.defaultWorkload()
+    val storages = Seq(Formats.csr("A", w.a), Formats.denseVec("X", w.x))
+    val cards = Map("beta" -> Card.scalar)
+    val cfg = Optimizer.Config()
+    val res = Optimizer.optimize(Kernels.batax, storages, cards, cfg)
+    assert(res.cost <= 10201, Expr.pretty(res.plan))
+    // every round's time is part of its stage's total, so no round reached
+    // the timeout
+    Seq(res.stage1 -> cfg.stage1, res.stage2 -> cfg.stage2).foreach { case (rs, sat) =>
+      assert(rs.stop != repro.egraph.RunStats.Timeout && rs.timeMs < sat.timeoutMs)
+    }
+    val slow = cfg.copy(stage1 = cfg.stage1.copy(timeoutMs = cfg.stage1.timeoutMs * 10),
+      stage2 = cfg.stage2.copy(timeoutMs = cfg.stage2.timeoutMs * 10))
+    assert(Optimizer.optimize(Kernels.batax, storages, cards, slow).plan == res.plan)
+  }
+
   test("optimizer reports two-stage saturation stats (Table 4 shape)") {
     val res = Optimizer.optimize(Kernels.sumMmm,
       Seq(Formats.csc("A", matA), Formats.csr("B", matB)), Map.empty, testCfg)

@@ -54,6 +54,29 @@ class EGraphSpec extends AnyFunSuite {
     assert(eg.memoCount == 3)
   }
 
+  test("nodeCount equals a full recount after random adds, unions and rebuilds") {
+    def recount(eg: EGraph): Int = eg.classes.valuesIterator.map(_.size).sum
+    (1 to 20).foreach { seed =>
+      val rnd = new scala.util.Random(seed)
+      val eg = new EGraph
+      val ids = scala.collection.mutable.ArrayBuffer.empty[Int]
+      (1 to 300).foreach { _ =>
+        rnd.nextInt(10) match {
+          case 0 | 1 | 2 | 3 if ids.nonEmpty =>
+            val op = Seq("bin:+", "bin:*", "get")(rnd.nextInt(3))
+            ids += eg.add(ENode(op, Vector(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))))
+          case 4 | 5 if ids.size > 1 =>
+            eg.union(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))
+          case 6 => eg.rebuild()
+          case _ => ids += eg.add(ENode(s"sym:s${rnd.nextInt(8)}", Vector.empty))
+        }
+        assert(eg.nodeCount == recount(eg), s"seed $seed")
+      }
+      eg.rebuild()
+      assert(eg.nodeCount == recount(eg), s"seed $seed")
+    }
+  }
+
   test("decompose/compose round-trips every construct") {
     val exprs = Seq[Expr](
       Num(3.5), Vr(2), Sym("x"), Bin("*", Num(1), Num(2)),
@@ -126,7 +149,7 @@ class EGraphSpec extends AnyFunSuite {
     val root = eg.addExpr(Bin("+", Sym("a"), Num(0)))
     val rule = Rule.simple("L1", PNode("bin:+", Vector(PVar("a"), PNode("num:0.0", Vector.empty))), RVar("a"))
     val stats = Saturate.run(eg, Seq(rule), SatConfig(maxIters = 10))
-    assert(stats.saturated)
+    assert(stats.saturated && stats.stop == RunStats.Saturated)
     assert(Extract.smallest(eg, root) == Sym("a"))
   }
 
@@ -141,15 +164,26 @@ class EGraphSpec extends AnyFunSuite {
       PNode("bin:+", Vector(PNode("bin:+", Vector(PVar("x"), PVar("y"))), PVar("z"))),
       RNode("bin:+", RVar("x"), RNode("bin:+", RVar("y"), RVar("z"))))
     val stats = Saturate.run(eg, Seq(comm, assoc), SatConfig(maxIters = 50, maxNodes = 60))
-    assert(!stats.saturated)
+    assert(!stats.saturated && stats.stop == RunStats.NodeCap)
+    assert(stats.nodes == eg.nodeCount && eg.nodeCount >= 60)
     assert(eg.find(root) >= 0)
+  }
+
+  test("saturation reports the iteration cap as its stop reason") {
+    val eg = new EGraph
+    eg.addExpr((1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin("+", _, _)))
+    val comm = Rule.simple("C1", PNode("bin:+", Vector(PVar("x"), PVar("y"))),
+      RNode("bin:+", RVar("y"), RVar("x")))
+    val stats = Saturate.run(eg, Seq(comm), SatConfig(maxIters = 1))
+    assert(stats.iters == 1 && !stats.saturated && stats.stop == RunStats.IterCap)
   }
 
   test("RunStats aggregate with +") {
     val a = RunStats(10, 2, 100, 50, 120, saturated = true)
-    val b = RunStats(5, 3, 80, 60, 90, saturated = false)
+    val b = RunStats(5, 3, 80, 60, 90, saturated = false, stop = RunStats.NodeCap)
     val c = a + b
     assert(c.timeMs == 15 && c.iters == 5 && c.nodes == 100 && c.classes == 60)
-    assert(c.memos == 210 && !c.saturated)
+    assert(c.memos == 210 && !c.saturated && c.stop == RunStats.NodeCap)
+    assert((c + b.copy(stop = RunStats.Timeout)).stop == RunStats.NodeCap)
   }
 }
