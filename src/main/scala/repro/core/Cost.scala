@@ -41,73 +41,103 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
 
   type Res = (Card, Double)
 
+  /** What the cost rule of a node may ask about its children: the card
+    * and cost of child `i` with the innermost free variables bound to
+    * `env`, and the operators child `i` may have (its own for a term,
+    * those of its class's nodes in an e-graph). */
+  private trait Children {
+    def res(i: Int, env: List[Card]): Option[Res]
+    def ops(i: Int): Iterator[Op]
+  }
+
   /** Analyze a concrete expression (used in tests and for candidate
     * comparison outside the e-graph). */
-  def analyze(e: Expr, env: List[Card] = Nil): Res = e match {
-    case Num(_) => (Card.scalar, 0.0)
-    case Vr(i)  => (if (i < env.length) env(i) else Card.scalar, 0.0)
-    case Sym(n) => (stats.card(n), 0.0)
-    case Bin(op, a, b) =>
-      val (ca, costa) = analyze(a, env)
-      val (cb, costb) = analyze(b, env)
-      combine(op, ca, costa, cb, costb)
-    case IfThen(c, t) =>
-      val (_, costc) = analyze(c, env)
-      val (ct, costt) = analyze(t, env)
-      val sel = selectivity(c)
-      (ct.scaled(sel), costc + p.scalarOp + sel * costt)
-    case Let(bound, body) =>
-      val (cb, costb) = analyze(bound, env)
-      val (cr, costr) = analyze(body, cb :: env)
-      (cr, costb + p.materialize * cb.totalSize + costr)
-    case Sum(coll, body) =>
-      val (cc, costc) = analyze(coll, env)
-      val n = math.max(1.0, cc.count)
-      val gamma = if (cc.topDense) p.iterDense else p.iterHash
-      val (cb, costb) = analyze(body, cc.value :: Card.scalar :: env)
-      (sumCard(cb, n), costc + gamma * n * costb + denseAllocCost(cb))
-    case Dict(k, v, unique, phys) =>
-      val (_, costk) = analyze(k, env)
-      val (cv, costv) = analyze(v, env)
-      val (ins, dense) = phys match {
-        case Phys.PDense => (p.insertDense, true)
-        case Phys.PHash  => (p.insertHash, false)
-        case Phys.PLog   => (p.insertLogical, false)
-      }
-      // A colliding insert of a nested value merges dictionaries, which
-      // allocates and copies; scalar collisions are a cheap += in place.
-      // @unique keys, and keys that are the enclosing loop's own key
-      // variable, never collide.
-      val loopKeyed = k == Vr(1)
-      val factor =
-        if (unique || loopKeyed) 1.0
-        else if (cv.isScalar) 1.5
-        else p.nestedMerge
-      (cv.nested(1.0, dense), costk + costv + ins * factor)
-    case Get(d, k) =>
-      val (cd, costd) = analyze(d, env)
-      val (_, costk) = analyze(k, env)
-      val gamma = if (cd.topDense) p.lookupDense else p.lookupHash
-      (cd.value, costd + costk + gamma)
-    case Rng(lo, hi) =>
-      val (_, cl) = analyze(lo, env)
-      val (_, ch) = analyze(hi, env)
-      (Card.vec(rangeCount(lo, hi), dense = true), cl + ch + p.scalarOp)
-    case SubArr(a, lo, hi) =>
-      val (ca, costa) = analyze(a, env)
-      val (_, cl) = analyze(lo, env)
-      val (_, ch) = analyze(hi, env)
-      val n = rangeCount(lo, hi)
-      (Card(1.0, Level(n, dense = true) :: ca.levels.drop(1)), costa + cl + ch + p.scalarOp)
-    case Merge(l, r, body) =>
-      val (cl, costl) = analyze(l, env)
-      val (cr, costr) = analyze(r, env)
-      val n1 = math.max(1.0, cl.count); val n2 = math.max(1.0, cr.count)
-      val g1 = if (cl.topDense) p.iterDense else p.iterHash
-      val g2 = if (cr.topDense) p.iterDense else p.iterHash
-      val envB = Card.scalar :: Card.scalar :: Card.scalar :: env
-      val (cb, costb) = analyze(body, envB)
-      (cb.scaled(math.min(n1, n2)), costl + costr + (g1 * n1 + g2 * n2) * costb)
+  def analyze(e: Expr, env: List[Card] = Nil): Res = {
+    val (op, cs) = Op.decompose(e)
+    nodeCost(op, env, new Children {
+      def res(i: Int, env: List[Card]): Option[Res] = Some(analyze(cs(i), env))
+      def ops(i: Int): Iterator[Op] = Iterator.single(Op.decompose(cs(i))._1)
+    }).get
+  }
+
+  /** The rules of Fig. 6 for one node, in the environment `env`; None
+    * when a child has no cost. Children are costed left to right and a
+    * binder's body under the variables it binds: a let's bound value,
+    * a sum's key (a scalar) and value (one level into the collection),
+    * and merge's three scalars. A condition's selectivity is `selEq`
+    * when it may be an `==` and `selOther` otherwise. */
+  private def nodeCost(op: Op, env: List[Card], children: Children): Option[Res] = {
+    def child(i: Int) = children.res(i, env)
+    def literal(i: Int) = children.ops(i).collectFirst { case Op.Num(v) => v }
+    def rangeCount(lo: Int, hi: Int): Double =
+      literal(lo).flatMap(a => literal(hi).map(b => math.max(1.0, b - a)))
+        .getOrElse(stats.defaultSegment)
+    op match {
+      case Op.Num(_) => Some((Card.scalar, 0.0))
+      case Op.Var(i) => Some((if (i < env.length) env(i) else Card.scalar, 0.0))
+      case Op.Sym(n) => Some((stats.card(n), 0.0))
+      case Op.Bin(b) =>
+        for ((ca, costa) <- child(0); (cb, costb) <- child(1))
+          yield combine(b, ca, costa, cb, costb)
+      case Op.If =>
+        for ((_, costc) <- child(0); (ct, costt) <- child(1)) yield {
+          val sel = if (children.ops(0).contains(Op.Bin("=="))) stats.selEq else stats.selOther
+          (ct.scaled(sel), costc + p.scalarOp + sel * costt)
+        }
+      case Op.Let =>
+        for ((cb, costb) <- child(0); (cr, costr) <- children.res(1, cb :: env))
+          yield (cr, costb + p.materialize * cb.totalSize + costr)
+      case Op.Sum =>
+        for {
+          (cc, costc) <- child(0)
+          (cb, costb) <- children.res(1, cc.value :: Card.scalar :: env)
+        } yield {
+          val n = math.max(1.0, cc.count)
+          val gamma = if (cc.topDense) p.iterDense else p.iterHash
+          (sumCard(cb, n), costc + gamma * n * costb + denseAllocCost(cb))
+        }
+      case Op.Dict(unique, phys) =>
+        for ((_, costk) <- child(0); (cv, costv) <- child(1)) yield {
+          val (ins, dense) = phys match {
+            case Phys.PDense => (p.insertDense, true)
+            case Phys.PHash  => (p.insertHash, false)
+            case Phys.PLog   => (p.insertLogical, false)
+          }
+          // A colliding insert of a nested value merges dictionaries, which
+          // allocates and copies; scalar collisions are a cheap += in place.
+          // @unique keys, and keys that are the enclosing loop's own key
+          // variable, never collide.
+          val loopKeyed = children.ops(0).contains(Op.Var(1))
+          val factor =
+            if (unique || loopKeyed) 1.0
+            else if (cv.isScalar) 1.5
+            else p.nestedMerge
+          (cv.nested(1.0, dense), costk + costv + ins * factor)
+        }
+      case Op.Get =>
+        for ((cd, costd) <- child(0); (_, costk) <- child(1)) yield {
+          val gamma = if (cd.topDense) p.lookupDense else p.lookupHash
+          (cd.value, costd + costk + gamma)
+        }
+      case Op.Rng =>
+        for ((_, cl) <- child(0); (_, ch) <- child(1))
+          yield (Card.vec(rangeCount(0, 1), dense = true), cl + ch + p.scalarOp)
+      case Op.Sub =>
+        for ((ca, costa) <- child(0); (_, cl) <- child(1); (_, ch) <- child(2))
+          yield (Card(1.0, Level(rangeCount(1, 2), dense = true) :: ca.levels.drop(1)),
+            costa + cl + ch + p.scalarOp)
+      case Op.Merge =>
+        for {
+          (cl, costl) <- child(0)
+          (cr, costr) <- child(1)
+          (cb, costb) <- children.res(2, Card.scalar :: Card.scalar :: Card.scalar :: env)
+        } yield {
+          val n1 = math.max(1.0, cl.count); val n2 = math.max(1.0, cr.count)
+          val g1 = if (cl.topDense) p.iterDense else p.iterHash
+          val g2 = if (cr.topDense) p.iterDense else p.iterHash
+          (cb.scaled(math.min(n1, n2)), costl + costr + (g1 * n1 + g2 * n2) * costb)
+        }
+    }
   }
 
   private def combine(op: String, ca: Card, costa: Double,
@@ -152,18 +182,6 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     case _ => cb.scaled(n)
   }
 
-  private def selectivity(c: Expr): Double = c match {
-    case Bin("==", _, _) => stats.selEq
-    case Bin("&&", a, b) => selectivity(a) * selectivity(b)
-    case Num(v) => if (v != 0) 1.0 else 0.0
-    case _ => stats.selOther
-  }
-
-  private def rangeCount(lo: Expr, hi: Expr): Double = (lo, hi) match {
-    case (Num(a), Num(b)) => math.max(1.0, b - a)
-    case _ => stats.defaultSegment
-  }
-
   // ---- cost-based extraction from an e-graph ------------------------------
 
   /** Extract the cheapest term of `root` from the e-graph, using the
@@ -171,9 +189,9 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     * extraction, cf. Sec. 6.6 "Cost computation"). Returns the term and
     * its estimated cost. */
   def extract(eg: EGraph, root: Int): (Expr, Double) = {
-    // Environments are quantized (2 significant digits, 6 levels deep)
-    // for memoization, or distinct float cardinalities make every
-    // (class, env) pair unique and the search goes exponential.
+    // Environments are quantized (2 significant digits) for memoization,
+    // or distinct float cardinalities make every (class, env) pair unique
+    // and the search goes exponential.
     def qd(x: Double): Double =
       if (x <= 0) 0.0
       else {
@@ -182,20 +200,27 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       }
     def qc(c: Card): Card =
       Card(qd(c.weight), c.levels.map(l => Level(qd(l.n), l.dense)))
-    // Quantize but never truncate: dropping entries makes contexts that
-    // differ at deep variables collide in the memo and corrupts costs.
-    def qenv(env: List[Card]): List[Card] = env.map(qc)
+
+    val noNodes = mutable.ArrayBuffer.empty[ENode]
+    /** The children of `n`, costed by `lu` per (class, env). */
+    class ClassChildren(n: ENode, lu: (Int, List[Card]) => Option[Res]) extends Children {
+      def res(i: Int, env: List[Card]): Option[Res] = lu(n.children(i), env)
+      def ops(i: Int): Iterator[Op] =
+        eg.classes.getOrElse(eg.find(n.children(i)), noNodes).iterator.map(_.op)
+    }
+    def costOf(n: ENode, env: List[Card], lu: (Int, List[Card]) => Option[Res]): Option[Res] =
+      nodeCost(n.op, env, new ClassChildren(n, lu))
 
     // ---- pass 1: environment-free approximation ---------------------------
-    // A per-class (cost, card) fixpoint with variables treated as scalars.
+    // A per-class (card, cost) fixpoint with variables treated as scalars.
     // Used only to PRUNE each class to its most promising nodes before the
     // exact env-aware search — otherwise the (class, env) space explodes.
-    val approx = mutable.HashMap.empty[Int, (Double, Card)]
-    val approxLu: (Int, List[Card]) => Option[(Double, Card)] =
+    val approx = mutable.HashMap.empty[Int, Res]
+    val approxLu: (Int, List[Card]) => Option[Res] =
       (cls, _) => approx.get(eg.find(cls))
     val K = 3
     val pruned = mutable.HashMap.empty[Int, Vector[ENode]]
-    val memo = mutable.HashMap.empty[(Int, List[Card]), Option[(Double, Card, ENode)]]
+    val memo = mutable.HashMap.empty[(Int, List[Card]), Option[(Card, Double, ENode)]]
     val visiting = mutable.HashSet.empty[(Int, List[Card])]
     // Depth guard for pass 3: cycles whose environment grows on every
     // lap (e.g. a self-referential let introduced by a union) never
@@ -203,7 +228,7 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     val MaxDepth = 160
     var depth = 0
     val fvTable = mutable.HashMap.empty[Int, Set[Int]]
-    lazy val bestLu: (Int, List[Card]) => Option[(Double, Card)] =
+    lazy val bestLu: (Int, List[Card]) => Option[Res] =
       (cls, env) => best(cls, env).map(r => (r._1, r._2))
 
     def runApproxPass(): Unit = {
@@ -214,10 +239,9 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
         eg.classes.foreach { case (cid0, nodes) =>
           val cid = eg.find(cid0)
           nodes.foreach { n0 =>
-            val n = eg.canonicalize(n0)
-            nodeCost(n, Nil, approxLu).foreach { case (c, card) =>
-              if (approx.get(cid).forall(_._1 > c)) {
-                approx(cid) = (c, card); changedA = true
+            costOf(eg.canonicalize(n0), Nil, approxLu).foreach { r =>
+              if (approx.get(cid).forall(_._2 > r._2)) {
+                approx(cid) = r; changedA = true
               }
             }
           }
@@ -237,13 +261,13 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
         pruned.foreach { case (cid, nodes) =>
           var s = fvTable.getOrElse(cid, Set.empty)
           nodes.foreach { n =>
-            if (n.op.startsWith("var:")) s = s + n.op.drop(4).toInt
-            else {
-              val ars = EGraph.binderArities(n.op, n.children.length)
-              n.children.zip(ars).foreach { case (c, ar) =>
-                s = s ++ fvTable.getOrElse(eg.find(c), Set.empty)
-                  .map(_ - ar).filter(_ >= 0)
-              }
+            n.op match {
+              case Op.Var(i) => s = s + i
+              case op =>
+                n.children.indices.foreach { i =>
+                  s = s ++ fvTable.getOrElse(eg.find(n.children(i)), Set.empty)
+                    .map(_ - op.binds(i)).filter(_ >= 0)
+                }
             }
           }
           if (s != fvTable.getOrElse(cid, Set.empty)) {
@@ -265,13 +289,13 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       eg.classes.foreach { case (cid0, nodes) =>
         val cid = eg.find(cid0)
         val ranked = nodes.iterator.map(eg.canonicalize).toVector.distinct
-          .flatMap(n => nodeCost(n, Nil, approxLu).map(r => (r._1, n)))
+          .flatMap(n => costOf(n, Nil, approxLu).map(r => (r._2, n)))
           .sortBy(_._1).take(K).map(_._2)
         pruned(cid) = ranked
       }
 
     // ---- pass 3: exact env-aware search over the pruned graph -------------
-    def best(cls0: Int, env: List[Card]): Option[(Double, Card, ENode)] = {
+    def best(cls0: Int, env: List[Card]): Option[(Card, Double, ENode)] = {
       val cls = eg.find(cls0)
       val key = memoKey(cls, env)
       memo.get(key) match {
@@ -281,12 +305,10 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
           if (!visiting.add(key)) return None // cycle
           depth += 1
           val candidates = pruned.getOrElse(cls, Vector.empty)
-            .flatMap { n =>
-              nodeCost(n, env, bestLu).map { case (cost, card) => (cost, card, n) }
-            }
+            .flatMap(n => costOf(n, env, bestLu).map { case (card, cost) => (card, cost, n) })
           depth -= 1
           visiting.remove(key)
-          val r = if (candidates.isEmpty) None else Some(candidates.minBy(_._1))
+          val r = if (candidates.isEmpty) None else Some(candidates.minBy(_._2))
           // results computed under the depth cap may be partial — only
           // memoize when computed from the top region of the search
           if (depth < MaxDepth / 2) memo(key) = r
@@ -294,157 +316,17 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       }
     }
 
-    def nodeCost(n: ENode, env: List[Card],
-                 lu: (Int, List[Card]) => Option[(Double, Card)]): Option[(Double, Card)] = {
-      val op = n.op
-      if (op.startsWith("num:")) Some((0.0, Card.scalar))
-      else if (op.startsWith("var:")) {
-        val i = op.drop(4).toInt
-        Some((0.0, if (i < env.length) env(i) else Card.scalar))
-      }
-      else if (op.startsWith("sym:")) Some((0.0, stats.card(op.drop(4))))
-      else if (op.startsWith("bin:")) {
-        for {
-          (costa, ca) <- child(n, 0, env, lu)
-          (costb, cb) <- child(n, 1, env, lu)
-        } yield { val (c, cost) = combine(op.drop(4), ca, costa, cb, costb); (cost, c) }
-      }
-      else if (op.startsWith("dict:")) {
-        val flags = op.drop(5)
-        for {
-          (costk, _) <- child(n, 0, env, lu)
-          (costv, cv) <- child(n, 1, env, lu)
-        } yield {
-          val (ins, dense) = flags(1) match {
-            case 'd' => (p.insertDense, true)
-            case 'h' => (p.insertHash, false)
-            case _   => (p.insertLogical, false)
-          }
-          // colliding nested-value inserts merge dictionaries; @unique
-          // and loop-keyed ({k -> ...} with k the enclosing sum's key
-          // variable) inserts never collide
-          val loopKeyed = eg.classes
-            .getOrElse(eg.find(n.children(0)), mutable.ArrayBuffer.empty)
-            .exists(_.op == "var:1")
-          val factor =
-            if (flags(0) == 'u' || loopKeyed) 1.0
-            else if (cv.isScalar) 1.5
-            else p.nestedMerge
-          (costk + costv + ins * factor, cv.nested(1.0, dense))
-        }
-      }
-      else op match {
-        case "if" =>
-          for {
-            (costc, _) <- child(n, 0, env, lu)
-            (costt, ct) <- child(n, 1, env, lu)
-          } yield {
-            val sel = selectivityOfClass(n.children(0))
-            (costc + p.scalarOp + sel * costt, ct.scaled(sel))
-          }
-        case "let" =>
-          for {
-            (costb, cb) <- child(n, 0, env, lu)
-            (costr, cr) <- lu(n.children(1), cb :: env)
-          } yield (costb + p.materialize * cb.totalSize + costr, cr)
-        case "sum" =>
-          for {
-            (costc, cc) <- child(n, 0, env, lu)
-            bodyEnv = cc.value :: Card.scalar :: env
-            (costb, cb) <- lu(n.children(1), bodyEnv)
-          } yield {
-            val nIter = math.max(1.0, cc.count)
-            val gamma = if (cc.topDense) p.iterDense else p.iterHash
-            (costc + gamma * nIter * costb + denseAllocCost(cb), sumCard(cb, nIter))
-          }
-        case "get" =>
-          for {
-            (costd, cd) <- child(n, 0, env, lu)
-            (costk, _) <- child(n, 1, env, lu)
-          } yield {
-            val gamma = if (cd.topDense) p.lookupDense else p.lookupHash
-            (costd + costk + gamma, cd.value)
-          }
-        case "rng" =>
-          for {
-            (cl, _) <- child(n, 0, env, lu)
-            (ch, _) <- child(n, 1, env, lu)
-          } yield {
-            val nR = classLiteral(n.children(0)).flatMap(a =>
-              classLiteral(n.children(1)).map(b => math.max(1.0, b - a)))
-              .getOrElse(stats.defaultSegment)
-            (cl + ch + p.scalarOp, Card.vec(nR, dense = true))
-          }
-        case "sub" =>
-          for {
-            (costa, ca) <- child(n, 0, env, lu)
-            (cl, _) <- child(n, 1, env, lu)
-            (ch, _) <- child(n, 2, env, lu)
-          } yield {
-            val nS = classLiteral(n.children(1)).flatMap(a =>
-              classLiteral(n.children(2)).map(b => math.max(1.0, b - a)))
-              .getOrElse(stats.defaultSegment)
-            (costa + cl + ch + p.scalarOp,
-             Card(1.0, Level(nS, dense = true) :: ca.levels.drop(1)))
-          }
-        case "merge" =>
-          for {
-            (costl, cl) <- child(n, 0, env, lu)
-            (costr, cr) <- child(n, 1, env, lu)
-            envB = Card.scalar :: Card.scalar :: Card.scalar :: env
-            (costb, cb) <- lu(n.children(2), envB)
-          } yield {
-            val n1 = math.max(1.0, cl.count); val n2 = math.max(1.0, cr.count)
-            val g1 = if (cl.topDense) p.iterDense else p.iterHash
-            val g2 = if (cr.topDense) p.iterDense else p.iterHash
-            (costl + costr + (g1 * n1 + g2 * n2) * costb,
-             cb.scaled(math.min(n1, n2)))
-          }
-        case other => throw new IllegalArgumentException(s"unknown op $other")
-      }
-    }
-
-    def child(n: ENode, i: Int, env: List[Card],
-              lu: (Int, List[Card]) => Option[(Double, Card)]): Option[(Double, Card)] =
-      lu(n.children(i), env)
-
-    // crude per-class condition selectivity: == nodes get selEq
-    def selectivityOfClass(cls: Int): Double = {
-      val ns = eg.classes.getOrElse(eg.find(cls), mutable.ArrayBuffer.empty)
-      if (ns.exists(_.op == "bin:==")) stats.selEq
-      else if (ns.exists(n => n.op == "bin:&&" || n.op.startsWith("bin:<") ||
-        n.op.startsWith("bin:>"))) stats.selOther
-      else stats.selOther
-    }
-
-    def classLiteral(cls: Int): Option[Double] =
-      eg.classes.getOrElse(eg.find(cls), mutable.ArrayBuffer.empty)
-        .collectFirst { case n if n.op.startsWith("num:") => n.op.drop(4).toDouble }
-
-    // reconstruct the chosen term top-down, threading environments
-    def build(cls0: Int, env: List[Card]): Expr = {
-      val cls = eg.find(cls0)
-      val (_, _, n) = best(cls, env).getOrElse(
-        throw new IllegalStateException(s"no finite-cost term for class $cls"))
-      val op = n.op
-      if (op.startsWith("num:") || op.startsWith("var:") || op.startsWith("sym:"))
-        EGraph.compose(op, Vector.empty)
-      else op match {
-        case "let" =>
-          val bound = build(n.children(0), env)
-          val (cb, _) = analyze(bound, env)
-          Let(bound, build(n.children(1), cb :: env))
-        case "sum" =>
-          val coll = build(n.children(0), env)
-          val (cc, _) = analyze(coll, env)
-          Sum(coll, build(n.children(1), cc.value :: Card.scalar :: env))
-        case "merge" =>
-          val envB = Card.scalar :: Card.scalar :: Card.scalar :: env
-          Merge(build(n.children(0), env), build(n.children(1), env),
-            build(n.children(2), envB))
-        case _ =>
-          EGraph.compose(op, n.children.map(c => build(c, env)))
-      }
+    // Reconstruct the chosen term top-down. Each child is rebuilt in the
+    // environment its cost was taken in, so a binder's body sees the card
+    // of the bound subterm's best result, and the term is the one costed.
+    def build(cls: Int, env: List[Card]): Expr = {
+      def noTerm = new IllegalStateException(s"no finite-cost term for class ${eg.find(cls)}")
+      val (_, _, n) = best(cls, env).getOrElse(throw noTerm)
+      val envs = new Array[List[Card]](n.children.length)
+      nodeCost(n.op, env, new ClassChildren(n, bestLu) {
+        override def res(i: Int, e: List[Card]): Option[Res] = { envs(i) = e; super.res(i, e) }
+      }).getOrElse(throw noTerm)
+      n.op.compose(n.children.indices.toVector.map(i => build(n.children(i), envs(i))))
     }
 
     runApproxPass()
@@ -452,7 +334,7 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     runFvPass()
     best(root, Nil) match {
       case Some(r) =>
-        try (build(root, Nil), r._1)
+        try (build(root, Nil), r._2)
         catch {
           case _: IllegalStateException =>
             val e = Extract.smallest(eg, root)

@@ -13,11 +13,10 @@ import repro.storage.Storage
   */
 object Optimizer {
 
-  /** The default search is bounded by nodes and iterations; the timeout
-    * is only a safety abort, so the plan does not depend on machine speed. */
+  /** Both stages search under [[SatConfig]]'s budget by default. */
   final case class Config(
-      stage1: SatConfig = SatConfig(maxIters = 20, maxNodes = 12000, timeoutMs = 60000),
-      stage2: SatConfig = SatConfig(maxIters = 20, maxNodes = 12000, timeoutMs = 60000),
+      stage1: SatConfig = SatConfig(),
+      stage2: SatConfig = SatConfig(),
       rounds1: Int = 2,
       rounds2: Int = 3,
       params: CostParams = CostParams())

@@ -20,26 +20,53 @@ object Rules {
 
   // ---- pattern/template shorthand -----------------------------------------
   private def pv(n: String) = PVar(n)
-  private def p(op: String, cs: Pat*) = PNode(op, cs.toVector)
-  private def pb(op: String, a: Pat, b: Pat) = p("bin:" + op, a, b)
-  private def r(op: String, cs: RT*) = RNode(op, cs: _*)
-  private def rb(op: String, a: RT, b: RT) = r("bin:" + op, a, b)
-  private def variable(i: Int) = p(s"var:$i")
+  private def p(op: Op, cs: Pat*) = PNode(op, cs.toVector)
+  private def pb(op: String, a: Pat, b: Pat) = p(Op.Bin(op), a, b)
+  private def r(op: Op, cs: RT*) = RNode(op, cs: _*)
+  private def rb(op: String, a: RT, b: RT) = r(Op.Bin(op), a, b)
+  private def variable(i: Int) = p(Op.Var(i))
+  private def num(v: Double) = p(Op.Num(v))
 
-  private val isDict: String => Boolean = _.startsWith("dict:")
-  private val isUniqueDict: String => Boolean = op => op.startsWith("dict:u")
-  private val isLogicalDict: String => Boolean =
-    op => op.startsWith("dict:") && op.endsWith("l")
-  private val isNum: String => Boolean = _.startsWith("num:")
+  private val isDict: Op => Boolean = _.isInstanceOf[Op.Dict]
+  private val isUniqueDict: Op => Boolean = { case Op.Dict(u, _) => u; case _ => false }
+  private val isLogicalDict: Op => Boolean = {
+    case Op.Dict(_, phys) => phys == Phys.PLog; case _ => false
+  }
+  private val isNum: Op => Boolean = _.isInstanceOf[Op.Num]
 
   /** Any-flag dictionary pattern, op captured as `dv`. */
   private def pdict(dv: String, k: Pat, v: Pat) = POpVar(dv, isDict, Vector(k, v))
 
+  /** The dictionary op captured as `dv` (by [[pdict]] or another
+    * dictionary predicate) with `f` applied to it. */
+  private def withDict(dv: String)(f: Op.Dict => Op.Dict): (RuleCtx, Subst) => Op =
+    (_, s) => f(s.op(dv).asInstanceOf[Op.Dict])
   /** Keep the captured dict's phys flag but drop @unique (the RHS key is
     * no longer one-per-iteration). */
-  private def dropUnique(dv: String): (RuleCtx, Subst) => String =
-    (_, s) => { val fl = s.op(dv).drop(5); s"dict:-${fl(1)}" }
-  private def keepOp(dv: String): (RuleCtx, Subst) => String = (_, s) => s.op(dv)
+  private def dropUnique(dv: String) = withDict(dv)(_.copy(unique = false))
+  private def keepOp(dv: String): (RuleCtx, Subst) => Op = (_, s) => s.op(dv)
+
+  /** `x op y` for constant folding, when defined. */
+  private def fold(op: String, x: Double, y: Double): Option[Double] = op match {
+    case "+" => Some(x + y)
+    case "-" => Some(x - y)
+    case "*" => Some(x * y)
+    case "/" => if (y != 0) Some(x / y) else None
+    case "%" => if (y != 0 && x.isWhole && y.isWhole)
+      Some((x.toLong % y.toLong).toDouble) else None
+    case "idiv" => if (y != 0 && x.isWhole && y.isWhole)
+      Some(Math.floorDiv(x.toLong, y.toLong).toDouble) else None
+    case "min" => Some(math.min(x, y))
+    case "==" => Some(if (x == y) 1.0 else 0.0)
+    case "!=" => Some(if (x != y) 1.0 else 0.0)
+    case "<"  => Some(if (x < y) 1.0 else 0.0)
+    case "<=" => Some(if (x <= y) 1.0 else 0.0)
+    case ">"  => Some(if (x > y) 1.0 else 0.0)
+    case ">=" => Some(if (x >= y) 1.0 else 0.0)
+    case "&&" => Some(if (x != 0 && y != 0) 1.0 else 0.0)
+    case "||" => Some(if (x != 0 || y != 0) 1.0 else 0.0)
+    case _ => None
+  }
 
   private def shiftF(delta: Int, cutoff: Int = 0): Int => Int =
     i => if (i >= cutoff) i + delta else i
@@ -92,72 +119,53 @@ object Rules {
     // Sec 5.6: force dictionary products into explicit loops —
     // a * d -> sum(<k,v> in d) {@unique k -> a' * v}  (a scalar, d dict)
     simple("MulLoopL", pb("*", pv("a"), pv("b")),
-      r("sum", RVar("b"),
-        RNode("dict:ul", RLit(Vr(1)), rb("*", RRemap("a", shiftF(+2)), RLit(Vr(0))))),
+      r(Op.Sum, RVar("b"),
+        RNode(Op.Dict(unique = true, Phys.PLog), RLit(Vr(1)),
+          rb("*", RRemap("a", shiftF(+2)), RLit(Vr(0))))),
       cond = allOf(scalarTyped("a"), dictTyped("b"))),
     // d * x -> sum(<k,v> in d) {@unique k -> v * x'}   (d dict, x anything)
     simple("MulLoopR", pb("*", pv("a"), pv("b")),
-      r("sum", RVar("a"),
-        RNode("dict:ul", RLit(Vr(1)), rb("*", RLit(Vr(0)), RRemap("b", shiftF(+2))))),
+      r(Op.Sum, RVar("a"),
+        RNode(Op.Dict(unique = true, Phys.PLog), RLit(Vr(1)),
+          rb("*", RLit(Vr(0)), RRemap("b", shiftF(+2))))),
       cond = dictTyped("a")),
     // A4: if (c) then a*b <-> a * (if (c) then b)
-    simple("A4l", p("if", pv("c"), pb("*", pv("a"), pv("b"))),
-      rb("*", RVar("a"), r("if", RVar("c"), RVar("b")))),
-    simple("A4r", pb("*", pv("a"), p("if", pv("c"), pv("b"))),
-      r("if", RVar("c"), rb("*", RVar("a"), RVar("b")))),
+    simple("A4l", p(Op.If, pv("c"), pb("*", pv("a"), pv("b"))),
+      rb("*", RVar("a"), r(Op.If, RVar("c"), RVar("b")))),
+    simple("A4r", pb("*", pv("a"), p(Op.If, pv("c"), pv("b"))),
+      r(Op.If, RVar("c"), rb("*", RVar("a"), RVar("b")))),
   )
 
   // ---- algebraic simplifications (L1-L6 and friends) -----------------------
   private val zero = RLit(Num(0))
   private val simplif = Seq(
-    simple("L1a", pb("+", pv("a"), p("num:0.0")), RVar("a")),
-    simple("L1b", pb("+", p("num:0.0"), pv("a")), RVar("a")),
-    simple("L2a", pb("*", pv("a"), p("num:0.0")), zero),
-    simple("L2b", pb("*", p("num:0.0"), pv("a")), zero),
-    simple("L3a", pb("*", pv("a"), p("num:1.0")), RVar("a")),
-    simple("L3b", pb("*", p("num:1.0"), pv("a")), RVar("a")),
-    simple("L5", pb("-", pv("a"), p("num:0.0")), RVar("a")),
+    simple("L1a", pb("+", pv("a"), num(0.0)), RVar("a")),
+    simple("L1b", pb("+", num(0.0), pv("a")), RVar("a")),
+    simple("L2a", pb("*", pv("a"), num(0.0)), zero),
+    simple("L2b", pb("*", num(0.0), pv("a")), zero),
+    simple("L3a", pb("*", pv("a"), num(1.0)), RVar("a")),
+    simple("L3b", pb("*", num(1.0), pv("a")), RVar("a")),
+    simple("L5", pb("-", pv("a"), num(0.0)), RVar("a")),
     simple("L6", pb("-", pv("a"), pv("a")), zero),
     simple("EqRefl", pb("==", pv("a"), pv("a")), RLit(Num(1))),
     // if (true) then e -> e ; if (false) then e -> 0
-    Rule("IfT", p("if", POpVar("c", op => isNum(op) && op.drop(4).toDouble != 0.0,
+    Rule("IfT", p(Op.If, POpVar("c", { case Op.Num(v) => v != 0.0; case _ => false },
         Vector.empty), pv("e")),
       (ctx, s) => Some(s("e"))),
-    simple("IfF", p("if", p("num:0.0"), pv("e")), zero),
+    simple("IfF", p(Op.If, num(0.0), pv("e")), zero),
     // constant folding on scalar binops
     Rule("Fold",
-      POpVar("op", _.startsWith("bin:"), Vector(
+      POpVar("op", _.isInstanceOf[Op.Bin], Vector(
         POpVar("x", isNum, Vector.empty), POpVar("y", isNum, Vector.empty))),
-      (ctx, s) => {
-        val x = s.op("x").drop(4).toDouble
-        val y = s.op("y").drop(4).toDouble
-        val res: Option[Double] = s.op("op").drop(4) match {
-          case "+" => Some(x + y)
-          case "-" => Some(x - y)
-          case "*" => Some(x * y)
-          case "/" => if (y != 0) Some(x / y) else None
-          case "%" => if (y != 0 && x.isWhole && y.isWhole)
-            Some((x.toLong % y.toLong).toDouble) else None
-          case "idiv" => if (y != 0 && x.isWhole && y.isWhole)
-            Some(Math.floorDiv(x.toLong, y.toLong).toDouble) else None
-          case "min" => Some(math.min(x, y))
-          case "==" => Some(if (x == y) 1.0 else 0.0)
-          case "!=" => Some(if (x != y) 1.0 else 0.0)
-          case "<"  => Some(if (x < y) 1.0 else 0.0)
-          case "<=" => Some(if (x <= y) 1.0 else 0.0)
-          case ">"  => Some(if (x > y) 1.0 else 0.0)
-          case ">=" => Some(if (x >= y) 1.0 else 0.0)
-          case "&&" => Some(if (x != 0 && y != 0) 1.0 else 0.0)
-          case "||" => Some(if (x != 0 || y != 0) 1.0 else 0.0)
-          case _ => None
-        }
-        res.map(d => ctx.eg.addExpr(Num(d)))
+      (ctx, s) => (s.op("op"), s.op("x"), s.op("y")) match {
+        case (Op.Bin(op), Op.Num(x), Op.Num(y)) => fold(op, x, y).map(d => ctx.eg.addExpr(Num(d)))
+        case _ => None
       }),
     // if (c1) then if (c2) then e <-> if (c1 && c2) then e
-    simple("IfIf1", p("if", pv("c1"), p("if", pv("c2"), pv("e"))),
-      r("if", rb("&&", RVar("c1"), RVar("c2")), RVar("e"))),
-    simple("IfIf2", p("if", pb("&&", pv("c1"), pv("c2")), pv("e")),
-      r("if", RVar("c1"), r("if", RVar("c2"), RVar("e")))),
+    simple("IfIf1", p(Op.If, pv("c1"), p(Op.If, pv("c2"), pv("e"))),
+      r(Op.If, rb("&&", RVar("c1"), RVar("c2")), RVar("e"))),
+    simple("IfIf2", p(Op.If, pb("&&", pv("c1"), pv("c2")), pv("e")),
+      r(Op.If, RVar("c1"), r(Op.If, RVar("c2"), RVar("e")))),
   )
 
   // ---- distributivity / factorization (D1-D4) ------------------------------
@@ -167,24 +175,24 @@ object Rules {
     simple("D1r", pb("*", pv("a"), pb("+", pv("b"), pv("c"))),
       rb("+", rb("*", RVar("a"), RVar("b")), rb("*", RVar("a"), RVar("c")))),
     // D2: sum(<k,v> in e1) a*b -> a' * sum(<k,v> in e1) b    (a invariant)
-    simple("D2l", p("sum", pv("e1"), pb("*", pv("a"), pv("b"))),
-      rb("*", RRemap("a", shiftF(-2)), r("sum", RVar("e1"), RVar("b"))),
+    simple("D2l", p(Op.Sum, pv("e1"), pb("*", pv("a"), pv("b"))),
+      rb("*", RRemap("a", shiftF(-2)), r(Op.Sum, RVar("e1"), RVar("b"))),
       cond = fvAvoid("a", Set(0, 1))),
-    simple("D2r", pb("*", pv("a"), p("sum", pv("e1"), pv("b"))),
-      r("sum", RVar("e1"), rb("*", RRemap("a", shiftF(+2)), RVar("b")))),
+    simple("D2r", pb("*", pv("a"), p(Op.Sum, pv("e1"), pv("b"))),
+      r(Op.Sum, RVar("e1"), rb("*", RRemap("a", shiftF(+2)), RVar("b")))),
     // D3: sum(<k,v> in e1) a*b -> (sum(<k,v> in e1) a) * b'   (b invariant)
-    simple("D3l", p("sum", pv("e1"), pb("*", pv("a"), pv("b"))),
-      rb("*", r("sum", RVar("e1"), RVar("a")), RRemap("b", shiftF(-2))),
+    simple("D3l", p(Op.Sum, pv("e1"), pb("*", pv("a"), pv("b"))),
+      rb("*", r(Op.Sum, RVar("e1"), RVar("a")), RRemap("b", shiftF(-2))),
       cond = fvAvoid("b", Set(0, 1))),
-    simple("D3r", pb("*", p("sum", pv("e1"), pv("a")), pv("b")),
-      r("sum", RVar("e1"), rb("*", RVar("a"), RRemap("b", shiftF(+2))))),
+    simple("D3r", pb("*", p(Op.Sum, pv("e1"), pv("a")), pv("b")),
+      r(Op.Sum, RVar("e1"), rb("*", RVar("a"), RRemap("b", shiftF(+2))))),
     // D4: sum(<k,v> in e1) {k2 -> v2} -> {k2' -> sum(<k,v> in e1) v2}  (k2 inv.)
-    simple("D4l", p("sum", pv("e1"), pdict("d", pv("k2"), pv("v2"))),
+    simple("D4l", p(Op.Sum, pv("e1"), pdict("d", pv("k2"), pv("v2"))),
       RNodeF(dropUnique("d"), RRemap("k2", shiftF(-2)),
-        r("sum", RVar("e1"), RVar("v2"))),
+        r(Op.Sum, RVar("e1"), RVar("v2"))),
       cond = fvAvoid("k2", Set(0, 1))),
-    simple("D4r", pdict("d", pv("k2"), p("sum", pv("e1"), pv("v2"))),
-      r("sum", RVar("e1"),
+    simple("D4r", pdict("d", pv("k2"), p(Op.Sum, pv("e1"), pv("v2"))),
+      r(Op.Sum, RVar("e1"),
         RNodeF(dropUnique("d"), RRemap("k2", shiftF(+2)), RVar("v2")))),
   )
 
@@ -193,71 +201,71 @@ object Rules {
     // F1: sum(<k,v> in e1) if (k == e2) then e3
     //   -> let k = e2' in let v = e1'(k) in e3        (k,v ∉ FV(e2))
     simple("F1",
-      p("sum", pv("e1"), p("if", pb("==", variable(1), pv("e2")), pv("e3"))),
-      r("let", RRemap("e2", shiftF(-2)),
-        r("let", r("get", RRemap("e1", shiftF(+1)), RLit(Vr(0))),
+      p(Op.Sum, pv("e1"), p(Op.If, pb("==", variable(1), pv("e2")), pv("e3"))),
+      r(Op.Let, RRemap("e2", shiftF(-2)),
+        r(Op.Let, r(Op.Get, RRemap("e1", shiftF(+1)), RLit(Vr(0))),
           RVar("e3"))),
       cond = allOf(fvAvoid("e2", Set(0, 1)), strictIn("e3", 0))),
     // F1r: sum(<k,v> in lo:hi) if (k == e2) then e3
     //   -> let k = e2' in if (lo' <= k && k < hi') then let v = k in e3
     // (sound without strictness: range membership IS the bounds check)
     simple("F1r",
-      p("sum", p("rng", pv("lo"), pv("hi")),
-        p("if", pb("==", variable(1), pv("e2")), pv("e3"))),
-      r("let", RRemap("e2", shiftF(-2)),
-        r("if", rb("&&", rb("<=", RRemap("lo", shiftF(+1)), RLit(Vr(0))),
+      p(Op.Sum, p(Op.Rng, pv("lo"), pv("hi")),
+        p(Op.If, pb("==", variable(1), pv("e2")), pv("e3"))),
+      r(Op.Let, RRemap("e2", shiftF(-2)),
+        r(Op.If, rb("&&", rb("<=", RRemap("lo", shiftF(+1)), RLit(Vr(0))),
                          rb("<", RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
-          r("let", RLit(Vr(0)), RVar("e3")))),
+          r(Op.Let, RLit(Vr(0)), RVar("e3")))),
       cond = fvAvoid("e2", Set(0, 1))),
     // F1s: sum(<k,v> in e(lo:hi)) if (k == e2) then e3
     //   -> let k = e2' in if (lo' <= k && k < hi') then let v = e'(k) in e3
     simple("F1s",
-      p("sum", p("sub", pv("e"), pv("lo"), pv("hi")),
-        p("if", pb("==", variable(1), pv("e2")), pv("e3"))),
-      r("let", RRemap("e2", shiftF(-2)),
-        r("if", rb("&&", rb("<=", RRemap("lo", shiftF(+1)), RLit(Vr(0))),
+      p(Op.Sum, p(Op.Sub, pv("e"), pv("lo"), pv("hi")),
+        p(Op.If, pb("==", variable(1), pv("e2")), pv("e3"))),
+      r(Op.Let, RRemap("e2", shiftF(-2)),
+        r(Op.If, rb("&&", rb("<=", RRemap("lo", shiftF(+1)), RLit(Vr(0))),
                          rb("<", RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
-          r("let", r("get", RRemap("e", shiftF(+1)), RLit(Vr(0))), RVar("e3")))),
+          r(Op.Let, r(Op.Get, RRemap("e", shiftF(+1)), RLit(Vr(0))), RVar("e3")))),
       cond = fvAvoid("e2", Set(0, 1))),
     // F2: sum(<k1,v1> in sum(<k2,v2> in e1) {k2 -> e2}) e3
     //   -> sum(<k2,v2> in e1) let k1 = k2 in let v1 = e2' in e3'
     simple("F2",
-      p("sum", p("sum", pv("e1"), pdict("d", variable(1), pv("e2"))), pv("e3")),
-      r("sum", RVar("e1"),
-        r("let", RLit(Vr(1)),
-          r("let", RRemap("e2", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
+      p(Op.Sum, p(Op.Sum, pv("e1"), pdict("d", variable(1), pv("e2"))), pv("e3")),
+      r(Op.Sum, RVar("e1"),
+        r(Op.Let, RLit(Vr(1)),
+          r(Op.Let, RRemap("e2", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
             RRemap("e3", i => if (i <= 1) i else i + 2)))),
       cond = strictIn("e3", 0)),
     // F3: sum(<k1,v1> in sum(<k2,v2> in e1) {@unique ek -> ev}) e3
     //   -> sum(<k2,v2> in e1) let k1 = ek in let v1 = ev' in e3'
     simple("F3",
-      p("sum", p("sum", pv("e1"),
+      p(Op.Sum, p(Op.Sum, pv("e1"),
         POpVar("d", isUniqueDict, Vector(pv("ek"), pv("ev")))), pv("e3")),
-      r("sum", RVar("e1"),
-        r("let", RVar("ek"),
-          r("let", RRemap("ev", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
+      r(Op.Sum, RVar("e1"),
+        r(Op.Let, RVar("ek"),
+          r(Op.Let, RRemap("ev", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
             RRemap("e3", i => if (i <= 1) i else i + 2)))),
       cond = strictIn("e3", 0)),
     // U1: same as F3 without @unique, sound when e3 is linear in v1
     simple("U1",
-      p("sum", p("sum", pv("e1"), pdict("d", pv("ek"), pv("ev"))), pv("e3")),
-      r("sum", RVar("e1"),
-        r("let", RVar("ek"),
-          r("let", RRemap("ev", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
+      p(Op.Sum, p(Op.Sum, pv("e1"), pdict("d", pv("ek"), pv("ev"))), pv("e3")),
+      r(Op.Sum, RVar("e1"),
+        r(Op.Let, RVar("ek"),
+          r(Op.Let, RRemap("ev", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
             RRemap("e3", i => if (i <= 1) i else i + 2)))),
       cond = allOf(linearIn("e3", 0), strictIn("e3", 0))),
     // F4: sum(<k1,v1> in e1) sum(<k2,v2> in e2') if (v1 == v2) then e3
     //   -> merge(<k1,k2,v> in <e1, e2>) e3'         (k1,v1 ∉ FV(e2'))
     simple("F4",
-      p("sum", pv("e1"), p("sum", pv("e2"),
-        p("if", pb("==", variable(2), variable(0)), pv("e3")))),
-      RNode("merge", RVar("e1"), RRemap("e2", shiftF(-2)),
+      p(Op.Sum, pv("e1"), p(Op.Sum, pv("e2"),
+        p(Op.If, pb("==", variable(2), variable(0)), pv("e3")))),
+      RNode(Op.Merge, RVar("e1"), RRemap("e2", shiftF(-2)),
         RRemap("e3", i => i match {
           case 0 => 0; case 1 => 1; case 2 => 0; case 3 => 2; case n => n - 1
         })),
       cond = allOf(fvAvoid("e2", Set(0, 1)), reprSorted("e1"), reprSorted("e2"))),
     // LetInline: let x = e1 in e2 -> e2[e1/x]   (small or single-use e1)
-    Rule("LetInline", p("let", pv("e1"), pv("e2")),
+    Rule("LetInline", p(Op.Let, pv("e1"), pv("e2")),
       (ctx, s) => {
         // Inlining only ADDS an equivalent plan — extraction decides
         // whether recomputation beats materialization. Bound only to
@@ -271,9 +279,9 @@ object Rules {
     // LICM: sum(<k,v> in e1) {k2 -> a * t} with t an invariant sum
     //   -> let t' in sum(<k,v> in e1') {k2' -> a' * %2}
     simple("LICM",
-      p("sum", pv("e1"), pdict("d", pv("k2"), pb("*", pv("a"), pv("t")))),
-      r("let", RRemap("t", shiftF(-2)),
-        r("sum", RRemap("e1", shiftF(+1)),
+      p(Op.Sum, pv("e1"), pdict("d", pv("k2"), pb("*", pv("a"), pv("t")))),
+      r(Op.Let, RRemap("t", shiftF(-2)),
+        r(Op.Sum, RRemap("e1", shiftF(+1)),
           RNodeF(keepOp("d"),
             RRemap("k2", shiftF(+1, 2)),
             rb("*", RRemap("a", shiftF(+1, 2)), RLit(Vr(2)))))),
@@ -281,9 +289,9 @@ object Rules {
     // X1 (interchange): sum(<k1,v1> in e1) sum(<k2,v2> in e2') body
     //   -> sum(<k2,v2> in e2) sum(<k1,v1> in e1') body'   (e2' invariant)
     simple("X1",
-      p("sum", pv("e1"), p("sum", pv("e2"), pv("body"))),
-      r("sum", RRemap("e2", shiftF(-2)),
-        r("sum", RRemap("e1", shiftF(+2)),
+      p(Op.Sum, pv("e1"), p(Op.Sum, pv("e2"), pv("body"))),
+      r(Op.Sum, RRemap("e2", shiftF(-2)),
+        r(Op.Sum, RRemap("e1", shiftF(+2)),
           RRemap("body", i => i match {
             case 0 => 2; case 1 => 3; case 2 => 0; case 3 => 1; case n => n
           }))),
@@ -292,50 +300,50 @@ object Rules {
 
   // ---- dictionary rules (T1-T6) --------------------------------------------
   private val dictionary = Seq(
-    simple("T1", p("sum", pv("e"), pdict("d", variable(1), variable(0))),
+    simple("T1", p(Op.Sum, pv("e"), pdict("d", variable(1), variable(0))),
       RVar("e")),
-    simple("T2", pb("+", p("get", pv("a"), pv("i")), p("get", pv("b"), pv("i"))),
-      r("get", rb("+", RVar("a"), RVar("b")), RVar("i"))),
+    simple("T2", pb("+", p(Op.Get, pv("a"), pv("i")), p(Op.Get, pv("b"), pv("i"))),
+      r(Op.Get, rb("+", RVar("a"), RVar("b")), RVar("i"))),
     simple("T3", pb("+", pdict("d1", pv("k"), pv("a")), pdict("d2", pv("k"), pv("b"))),
       RNodeF(dropUnique("d1"), RVar("k"), rb("+", RVar("a"), RVar("b")))),
     // T4: (a:b)(i) -> if (i >= a && i < b) then i
-    simple("T4", p("get", p("rng", pv("a"), pv("b")), pv("i")),
-      r("if", rb("&&", rb(">=", RVar("i"), RVar("a")), rb("<", RVar("i"), RVar("b"))),
+    simple("T4", p(Op.Get, p(Op.Rng, pv("a"), pv("b")), pv("i")),
+      r(Op.If, rb("&&", rb(">=", RVar("i"), RVar("a")), rb("<", RVar("i"), RVar("b"))),
         RVar("i"))),
     // T5: e(a:b)(i) -> if (i >= a && i < b) then e(i)
-    simple("T5", p("get", p("sub", pv("e"), pv("a"), pv("b")), pv("i")),
-      r("if", rb("&&", rb(">=", RVar("i"), RVar("a")), rb("<", RVar("i"), RVar("b"))),
-        r("get", RVar("e"), RVar("i")))),
+    simple("T5", p(Op.Get, p(Op.Sub, pv("e"), pv("a"), pv("b")), pv("i")),
+      r(Op.If, rb("&&", rb(">=", RVar("i"), RVar("a")), rb("<", RVar("i"), RVar("b"))),
+        r(Op.Get, RVar("e"), RVar("i")))),
     // T6: {k -> v}(i) -> if (i == k) then v
-    simple("T6", p("get", pdict("d", pv("k"), pv("v")), pv("i")),
-      r("if", rb("==", RVar("i"), RVar("k")), RVar("v"))),
+    simple("T6", p(Op.Get, pdict("d", pv("k"), pv("v")), pv("i")),
+      r(Op.If, rb("==", RVar("i"), RVar("k")), RVar("v"))),
     // T8: (if (c) then d)(i) -> if (c) then d(i) — lookups see through
     // conditionals (the zero dictionary looks up to 0)
-    simple("T8", p("get", p("if", pv("c"), pv("d")), pv("i")),
-      r("if", RVar("c"), r("get", RVar("d"), RVar("i")))),
+    simple("T8", p(Op.Get, p(Op.If, pv("c"), pv("d")), pv("i")),
+      r(Op.If, RVar("c"), r(Op.Get, RVar("d"), RVar("i")))),
     // T9: sum(<k,v> in if (c) then e) body -> if (c) then sum(<k,v> in e) body
-    simple("T9", p("sum", p("if", pv("c"), pv("e")), pv("body")),
-      r("if", RVar("c"), r("sum", RVar("e"), RVar("body")))),
+    simple("T9", p(Op.Sum, p(Op.If, pv("c"), pv("e")), pv("body")),
+      r(Op.If, RVar("c"), r(Op.Sum, RVar("e"), RVar("body")))),
     // T7 (lookup distributes over sum, cf. T2):
     // (sum(<k,v> in e1) {ek -> ev})(i) -> sum(<k,v> in e1) if (i' == ek) then ev
     simple("T7",
-      p("get", p("sum", pv("e1"), pdict("d", pv("ek"), pv("ev"))), pv("i")),
-      r("sum", RVar("e1"),
-        r("if", rb("==", RRemap("i", shiftF(+2)), RVar("ek")), RVar("ev")))),
+      p(Op.Get, p(Op.Sum, pv("e1"), pdict("d", pv("ek"), pv("ev"))), pv("i")),
+      r(Op.Sum, RVar("e1"),
+        r(Op.If, rb("==", RRemap("i", shiftF(+2)), RVar("ek")), RVar("ev")))),
   )
 
   // ---- physical rules (Sec. 5.6) -------------------------------------------
   private val physical = Seq(
     // logical dict -> @dense / @hash (cost decides which survives)
     simple("PhysDense", POpVar("d", isLogicalDict, Vector(pv("k"), pv("v"))),
-      RNodeF((_, s) => s.op("d").dropRight(1) + "d", RVar("k"), RVar("v"))),
+      RNodeF(withDict("d")(_.copy(phys = Phys.PDense)), RVar("k"), RVar("v"))),
     simple("PhysHash", POpVar("d", isLogicalDict, Vector(pv("k"), pv("v"))),
-      RNodeF((_, s) => s.op("d").dropRight(1) + "h", RVar("k"), RVar("v"))),
+      RNodeF(withDict("d")(_.copy(phys = Phys.PHash)), RVar("k"), RVar("v"))),
     // S1: sum over a sub-array -> sum over its position range
     simple("S1",
-      p("sum", p("sub", pv("e"), pv("lo"), pv("hi")), pv("body")),
-      r("sum", r("rng", RVar("lo"), RVar("hi")),
-        r("let", r("get", RRemap("e", shiftF(+2)), RLit(Vr(1))),
+      p(Op.Sum, p(Op.Sub, pv("e"), pv("lo"), pv("hi")), pv("body")),
+      r(Op.Sum, r(Op.Rng, RVar("lo"), RVar("hi")),
+        r(Op.Let, r(Op.Get, RRemap("e", shiftF(+2)), RLit(Vr(1))),
           RRemap("body", i => i match { case 0 => 0; case 1 => 2; case n => n + 1 })))),
   )
 

@@ -1,11 +1,10 @@
 package repro.egraph
 
-import repro.core._
+import repro.core.Expr
 import scala.collection.mutable
 
-/** An e-node: an operator with e-class children. Leaf payloads (numbers,
-  * De Bruijn indices, symbol names) are encoded in the op string. */
-final case class ENode(op: String, children: Vector[Int]) {
+/** An e-node: an operator with e-class children. */
+final case class ENode(op: Op, children: Vector[Int]) {
   def map(f: Int => Int): ENode = ENode(op, children.map(f))
 }
 
@@ -125,65 +124,10 @@ final class EGraph {
   // ---- Expr <-> e-graph -----------------------------------------------------
 
   def addExpr(e: Expr): Int = {
-    val (op, cs) = EGraph.decompose(e)
+    val (op, cs) = Op.decompose(e)
     add(ENode(op, cs.map(addExpr)))
   }
 
   /** All canonical class ids. */
   def classIds: Vector[Int] = classes.keysIterator.map(find).toVector.distinct
-}
-
-object EGraph {
-
-  private def physCode(p: Phys): String = p match {
-    case Phys.PLog => "l"; case Phys.PDense => "d"; case Phys.PHash => "h"
-  }
-  private def physOf(c: Char): Phys = c match {
-    case 'l' => Phys.PLog; case 'd' => Phys.PDense; case 'h' => Phys.PHash
-  }
-
-  /** Expr -> (op string, children). Leaf payloads live in the op. */
-  def decompose(e: Expr): (String, Vector[Expr]) = e match {
-    case Num(v)        => (s"num:$v", Vector.empty)
-    case Vr(i)         => (s"var:$i", Vector.empty)
-    case Sym(n)        => (s"sym:$n", Vector.empty)
-    case Bin(op, a, b) => (s"bin:$op", Vector(a, b))
-    case IfThen(c, t)  => ("if", Vector(c, t))
-    case Let(b, e2)    => ("let", Vector(b, e2))
-    case Sum(c, b)     => ("sum", Vector(c, b))
-    case Dict(k, v, u, p) => (s"dict:${if (u) "u" else "-"}${physCode(p)}", Vector(k, v))
-    case Get(d, k)     => ("get", Vector(d, k))
-    case Rng(a, b)     => ("rng", Vector(a, b))
-    case SubArr(a, l, h) => ("sub", Vector(a, l, h))
-    case Merge(l, r, b)  => ("merge", Vector(l, r, b))
-  }
-
-  /** Rebuild an Expr node from an op string and child expressions. */
-  def compose(op: String, cs: Vector[Expr]): Expr =
-    if (op.startsWith("num:")) Num(op.drop(4).toDouble)
-    else if (op.startsWith("var:")) Vr(op.drop(4).toInt)
-    else if (op.startsWith("sym:")) Sym(op.drop(4))
-    else if (op.startsWith("bin:")) Bin(op.drop(4), cs(0), cs(1))
-    else if (op.startsWith("dict:")) {
-      val flags = op.drop(5)
-      Dict(cs(0), cs(1), flags(0) == 'u', physOf(flags(1)))
-    } else op match {
-      case "if"    => IfThen(cs(0), cs(1))
-      case "let"   => Let(cs(0), cs(1))
-      case "sum"   => Sum(cs(0), cs(1))
-      case "get"   => Get(cs(0), cs(1))
-      case "rng"   => Rng(cs(0), cs(1))
-      case "sub"   => SubArr(cs(0), cs(1), cs(2))
-      case "merge" => Merge(cs(0), cs(1), cs(2))
-      case other   => throw new IllegalArgumentException(s"unknown op $other")
-    }
-
-  /** Binder arity per child position for an op (sum binds 2 in its body,
-    * let 1, merge 3) — needed by extraction-time De Bruijn reasoning. */
-  def binderArities(op: String, nChildren: Int): Vector[Int] = op match {
-    case "let"   => Vector(0, 1)
-    case "sum"   => Vector(0, 2)
-    case "merge" => Vector(0, 0, 3)
-    case _       => Vector.fill(nChildren)(0)
-  }
 }

@@ -3,26 +3,21 @@ package repro.egraph
 import scala.collection.mutable
 
 /** Pattern language for e-matching. Metavariables ([[PVar]]) bind
-  * e-classes; [[POpVar]] additionally captures the matched op string
-  * (used by rules that apply to any dictionary flag combination). */
+  * e-classes; [[POpVar]] additionally captures the matched op (used by
+  * rules that apply to any dictionary flag combination). */
 sealed trait Pat
 final case class PVar(name: String) extends Pat
-final case class PNode(op: String, children: Vector[Pat]) extends Pat
-final case class POpVar(opVar: String, pred: String => Boolean,
+final case class PNode(op: Op, children: Vector[Pat]) extends Pat
+final case class POpVar(opVar: String, pred: Op => Boolean,
                         children: Vector[Pat]) extends Pat
 
-object Pat {
-  def pv(n: String): Pat = PVar(n)
-  def node(op: String, cs: Pat*): Pat = PNode(op, cs.toVector)
-}
-
 /** A match: metavariable -> e-class id (canonical at match time), plus
-  * captured op strings. Slots are those of the compiled pattern, whose
+  * captured ops. Slots are those of the compiled pattern, whose
   * name tables are shared by all of its matches. */
 final class Subst private[egraph] (names: Array[String], cls: Array[Int],
-                                   opNames: Array[String], ops: Array[String]) {
+                                   opNames: Array[String], ops: Array[Op]) {
   def apply(n: String): Int = cls(Subst.slot(names, n))
-  def op(n: String): String = ops(Subst.slot(opNames, n))
+  def op(n: String): Op = ops(Subst.slot(opNames, n))
 }
 
 object Subst {
@@ -41,9 +36,9 @@ object Subst {
   * [[Compare]] requires two registers to hold the same class (a
   * repeated metavariable). */
 private sealed trait Instr
-private final case class Bind(in: Int, op: String, pred: String => Boolean, arity: Int,
+private final case class Bind(in: Int, op: Op, pred: Op => Boolean, arity: Int,
                               out: Int, opSlot: Int, bindsOp: Boolean) extends Instr {
-  def accepts(nodeOp: String): Boolean = if (op != null) op == nodeOp else pred(nodeOp)
+  def accepts(nodeOp: Op): Boolean = if (op != null) op == nodeOp else pred(nodeOp)
 }
 private final case class Compare(a: Int, b: Int) extends Instr
 
@@ -60,10 +55,10 @@ final class Program private[egraph] (
 
   /** The root's op, the predicate on it, or neither for a metavariable
     * root: the key of the candidate-class index. */
-  private[egraph] val rootOp: String = instrs.headOption.collect {
+  private[egraph] val rootOp: Op = instrs.headOption.collect {
     case b: Bind if b.in == 0 => b.op
   }.orNull
-  private[egraph] val rootPred: String => Boolean = instrs.headOption.collect {
+  private[egraph] val rootPred: Op => Boolean = instrs.headOption.collect {
     case b: Bind if b.in == 0 && b.op == null => b.pred
   }.orNull
 
@@ -71,7 +66,7 @@ final class Program private[egraph] (
     * class `cls`. The e-graph must not change during the search. */
   def search(eg: EGraph, cls: Int)(f: Subst => Unit): Unit = {
     val regs = new Array[Int](nRegs)
-    val ops = new Array[String](opNames.length)
+    val ops = new Array[Op](opNames.length)
 
     def step(pc: Int): Unit =
       if (pc == instrs.length)
@@ -123,6 +118,7 @@ object Program {
           case None => vars(n) = reg
         }
       case PNode(op, cs) =>
+        require(cs.length == op.arity, s"$op takes ${op.arity} children, not ${cs.length}")
         val out = children(cs)
         instrs += Bind(reg, op, null, cs.length, out, -1, bindsOp = false)
         cs.indices.foreach(i => go(cs(i), out + i))
@@ -146,8 +142,8 @@ object Program {
   * it. Every list is in `ids` order, so searching a pattern's candidates
   * finds the matches a scan of all of `ids` would, in the same order. */
 final class RootIndex(eg: EGraph, ids: Vector[Int]) {
-  private val byOp = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
-  private val byPred = mutable.HashMap.empty[String => Boolean, Vector[Int]]
+  private val byOp = mutable.HashMap.empty[Op, mutable.ArrayBuffer[Int]]
+  private val byPred = mutable.HashMap.empty[Op => Boolean, Vector[Int]]
 
   ids.foreach { cls =>
     eg.classes(cls).foreach { n =>

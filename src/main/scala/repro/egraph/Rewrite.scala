@@ -10,14 +10,12 @@ import scala.collection.mutable
   * across binders inside an e-graph (Sec. 5.4). */
 sealed trait RT
 final case class RVar(n: String) extends RT
-final case class RNode(op: String, cs: RT*) extends RT
-/** Node whose op was captured by a [[POpVar]] during matching. */
-final case class ROpVar(opVar: String, cs: RT*) extends RT
+final case class RNode(op: Op, cs: RT*) extends RT
 final case class RRemap(n: String, f: Int => Int) extends RT
 final case class RLit(e: Expr) extends RT
 /** Node whose op is computed from the match (e.g. a dict that keeps its
   * phys flag but drops @unique). */
-final case class RNodeF(opf: (RuleCtx, Subst) => String, cs: RT*) extends RT
+final case class RNodeF(opf: (RuleCtx, Subst) => Op, cs: RT*) extends RT
 
 /** Context handed to appliers: representative terms are from the table
   * computed at the start of the iteration, keyed by the class ids stored
@@ -56,8 +54,6 @@ object Rule {
       ctx.eg.addExpr(Expr.remapFree(ctx.repr(s(n)), f))
     case RNode(op, cs @ _*) =>
       ctx.eg.add(ENode(op, cs.toVector.map(instantiate(ctx, s, _))))
-    case ROpVar(opVar, cs @ _*) =>
-      ctx.eg.add(ENode(s.op(opVar), cs.toVector.map(instantiate(ctx, s, _))))
     case RNodeF(opf, cs @ _*) =>
       ctx.eg.add(ENode(opf(ctx, s), cs.toVector.map(instantiate(ctx, s, _))))
   }
@@ -86,11 +82,13 @@ object Rule {
 /** Saturation limits and the metrics the paper reports in Table 4. The
   * node budget is checked between iterations, as in egg: an iteration
   * applies all of its matches, so no rule late in the list is starved.
-  * The timeout is a safety abort, also checked between iterations. */
+  * The timeout is a safety abort, also checked between iterations; the
+  * defaults bound the search by nodes and iterations so that it never
+  * fires, and the plan does not depend on machine speed. */
 final case class SatConfig(
-    maxIters: Int = 30,
-    maxNodes: Int = 20000,
-    timeoutMs: Long = 5000)
+    maxIters: Int = 20,
+    maxNodes: Int = 12000,
+    timeoutMs: Long = 60000)
 
 /** `stop` is why the run ended: [[RunStats.Saturated]], [[RunStats.NodeCap]],
   * [[RunStats.IterCap]] or [[RunStats.Timeout]]. */

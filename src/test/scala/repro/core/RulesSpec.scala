@@ -61,12 +61,12 @@ class RulesSpec extends AnyFunSuite {
       val cid = eg.find(c)
       memo.getOrElseUpdate(cid, {
         val (_, n) = table(cid)
-        EGraph.compose(n.op, n.children.map(small))
+        n.op.compose(n.children.map(small))
       })
     }
     eg.classes(eg.find(root)).toSeq.map(eg.canonicalize).distinct.flatMap { n =>
       if (n.children.forall(c => table.contains(eg.find(c))))
-        Some(EGraph.compose(n.op, n.children.map(small)))
+        Some(n.op.compose(n.children.map(small)))
       else None
     }
   }

@@ -63,12 +63,12 @@ class EGraphSpec extends AnyFunSuite {
       (1 to 300).foreach { _ =>
         rnd.nextInt(10) match {
           case 0 | 1 | 2 | 3 if ids.nonEmpty =>
-            val op = Seq("bin:+", "bin:*", "get")(rnd.nextInt(3))
+            val op = Seq(Op.Bin("+"), Op.Bin("*"), Op.Get)(rnd.nextInt(3))
             ids += eg.add(ENode(op, Vector(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))))
           case 4 | 5 if ids.size > 1 =>
             eg.union(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))
           case 6 => eg.rebuild()
-          case _ => ids += eg.add(ENode(s"sym:s${rnd.nextInt(8)}", Vector.empty))
+          case _ => ids += eg.add(ENode(Op.Sym(s"s${rnd.nextInt(8)}"), Vector.empty))
         }
         assert(eg.nodeCount == recount(eg), s"seed $seed")
       }
@@ -78,17 +78,31 @@ class EGraphSpec extends AnyFunSuite {
   }
 
   test("decompose/compose round-trips every construct") {
+    val dicts = for {
+      unique <- Seq(true, false)
+      phys <- Seq(Phys.PLog, Phys.PDense, Phys.PHash)
+    } yield Dict(Num(1), Num(2), unique, phys)
     val exprs = Seq[Expr](
-      Num(3.5), Vr(2), Sym("x"), Bin("*", Num(1), Num(2)),
+      Num(3.5), Num(-0.0), Vr(2), Sym("x"), Bin("*", Num(1), Num(2)),
       IfThen(Num(1), Num(2)), Let(Num(1), Vr(0)), Sum(Sym("A"), Vr(0)),
-      Dict(Num(1), Num(2), unique = true, Phys.PDense),
-      Dict(Num(1), Num(2), unique = false, Phys.PHash),
       Get(Sym("A"), Num(1)), Rng(Num(0), Num(5)),
-      SubArr(Sym("A"), Num(0), Num(2)), Merge(Sym("A"), Sym("B"), Vr(0)))
-    exprs.foreach { e =>
-      val (op, cs) = EGraph.decompose(e)
-      assert(EGraph.compose(op, cs) == e, s"round-trip failed for $e")
+      SubArr(Sym("A"), Num(0), Num(2)), Merge(Sym("A"), Sym("B"), Vr(0))) ++ dicts
+    val ops = exprs.map { e =>
+      val (op, cs) = Op.decompose(e)
+      assert(cs.length == op.arity, s"arity of $op")
+      assert(op.compose(cs) == e, s"round-trip failed for $e")
+      op
     }
+    assert(ops.map(_.getClass).distinct.size == 12, "every Op case is covered")
+    assert(ops.collect { case d: Op.Dict => d }.distinct.size == 6)
+    assert(Seq(Op.Let, Op.Sum, Op.Merge).map(op => (0 until op.arity).map(op.binds)) ==
+      Seq(Seq(0, 1), Seq(0, 2), Seq(0, 0, 3)))
+    // literals compare by bit pattern, as their printed forms did
+    val eg = new EGraph
+    assert(eg.addExpr(Num(0.0)) != eg.addExpr(Num(-0.0)))
+    assert(eg.addExpr(Num(Double.NaN)) == eg.addExpr(Num(0.0 / 0.0)))
+    assert(eg.addExpr(Bin("+", Num(Double.NaN), Num(-0.0))) ==
+      eg.addExpr(Bin("+", Num(Double.NaN), Num(-0.0))))
   }
 
   test("addExpr then extract smallest returns an equivalent term") {
@@ -110,7 +124,7 @@ class EGraphSpec extends AnyFunSuite {
   test("pattern matching binds metavariables") {
     val eg = new EGraph
     val root = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
-    val ms = Matcher.matches(eg, PNode("bin:*", Vector(PVar("x"), PVar("y"))), root)
+    val ms = Matcher.matches(eg, PNode(Op.Bin("*"), Vector(PVar("x"), PVar("y"))), root)
     assert(ms.size == 1)
     assert(Extract.smallest(eg, ms.head("x")) == Sym("a"))
     assert(Extract.smallest(eg, ms.head("y")) == Sym("b"))
@@ -119,18 +133,18 @@ class EGraphSpec extends AnyFunSuite {
   test("pattern with repeated metavariable requires equality") {
     val eg = new EGraph
     val ab = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
-    assert(Matcher.matches(eg, PNode("bin:*", Vector(PVar("x"), PVar("x"))), ab).isEmpty)
+    assert(Matcher.matches(eg, PNode(Op.Bin("*"), Vector(PVar("x"), PVar("x"))), ab).isEmpty)
     val aa = eg.addExpr(Bin("*", Sym("a"), Sym("a")))
-    assert(Matcher.matches(eg, PNode("bin:*", Vector(PVar("x"), PVar("x"))), aa).size == 1)
+    assert(Matcher.matches(eg, PNode(Op.Bin("*"), Vector(PVar("x"), PVar("x"))), aa).size == 1)
   }
 
   test("POpVar captures the op") {
     val eg = new EGraph
     val root = eg.addExpr(Dict(Num(1), Num(2), unique = true, Phys.PLog))
     val ms = Matcher.matches(eg,
-      POpVar("d", _.startsWith("dict:"), Vector(PVar("k"), PVar("v"))), root)
+      POpVar("d", _.isInstanceOf[Op.Dict], Vector(PVar("k"), PVar("v"))), root)
     assert(ms.size == 1)
-    assert(ms.head.op("d") == "dict:ul")
+    assert(ms.head.op("d") == Op.Dict(unique = true, Phys.PLog))
   }
 
   test("matches across merged classes") {
@@ -140,14 +154,14 @@ class EGraphSpec extends AnyFunSuite {
     val prod = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
     eg.union(eg.addExpr(Sym("x")), prod)
     eg.rebuild()
-    val pat = PNode("bin:+", Vector(PNode("bin:*", Vector(PVar("p"), PVar("q"))), PVar("z")))
+    val pat = PNode(Op.Bin("+"), Vector(PNode(Op.Bin("*"), Vector(PVar("p"), PVar("q"))), PVar("z")))
     assert(Matcher.matches(eg, pat, root).nonEmpty)
   }
 
   test("saturation applies a simple rule and stops") {
     val eg = new EGraph
     val root = eg.addExpr(Bin("+", Sym("a"), Num(0)))
-    val rule = Rule.simple("L1", PNode("bin:+", Vector(PVar("a"), PNode("num:0.0", Vector.empty))), RVar("a"))
+    val rule = Rule.simple("L1", PNode(Op.Bin("+"), Vector(PVar("a"), PNode(Op.Num(0.0), Vector.empty))), RVar("a"))
     val stats = Saturate.run(eg, Seq(rule), SatConfig(maxIters = 10))
     assert(stats.saturated && stats.stop == RunStats.Saturated)
     assert(Extract.smallest(eg, root) == Sym("a"))
@@ -158,11 +172,11 @@ class EGraphSpec extends AnyFunSuite {
     // AC closure over an 8-term chain wants hundreds of classes
     val chain = (1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin("+", _, _))
     val root = eg.addExpr(chain)
-    val comm = Rule.simple("C1", PNode("bin:+", Vector(PVar("x"), PVar("y"))),
-      RNode("bin:+", RVar("y"), RVar("x")))
+    val comm = Rule.simple("C1", PNode(Op.Bin("+"), Vector(PVar("x"), PVar("y"))),
+      RNode(Op.Bin("+"), RVar("y"), RVar("x")))
     val assoc = Rule.simple("AAdd",
-      PNode("bin:+", Vector(PNode("bin:+", Vector(PVar("x"), PVar("y"))), PVar("z"))),
-      RNode("bin:+", RVar("x"), RNode("bin:+", RVar("y"), RVar("z"))))
+      PNode(Op.Bin("+"), Vector(PNode(Op.Bin("+"), Vector(PVar("x"), PVar("y"))), PVar("z"))),
+      RNode(Op.Bin("+"), RVar("x"), RNode(Op.Bin("+"), RVar("y"), RVar("z"))))
     val stats = Saturate.run(eg, Seq(comm, assoc), SatConfig(maxIters = 50, maxNodes = 60))
     assert(!stats.saturated && stats.stop == RunStats.NodeCap)
     assert(stats.nodes == eg.nodeCount && eg.nodeCount >= 60)
@@ -172,8 +186,8 @@ class EGraphSpec extends AnyFunSuite {
   test("saturation reports the iteration cap as its stop reason") {
     val eg = new EGraph
     eg.addExpr((1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin("+", _, _)))
-    val comm = Rule.simple("C1", PNode("bin:+", Vector(PVar("x"), PVar("y"))),
-      RNode("bin:+", RVar("y"), RVar("x")))
+    val comm = Rule.simple("C1", PNode(Op.Bin("+"), Vector(PVar("x"), PVar("y"))),
+      RNode(Op.Bin("+"), RVar("y"), RVar("x")))
     val stats = Saturate.run(eg, Seq(comm), SatConfig(maxIters = 1))
     assert(stats.iters == 1 && !stats.saturated && stats.stop == RunStats.IterCap)
   }

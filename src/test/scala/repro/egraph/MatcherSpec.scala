@@ -12,7 +12,7 @@ import scala.collection.mutable
   * must reproduce. */
 object RecursiveMatcher {
 
-  final case class Binding(cls: Map[String, Int], ops: Map[String, String])
+  final case class Binding(cls: Map[String, Int], ops: Map[String, Op])
 
   def matches(eg: EGraph, pat: Pat, cls: Int): Seq[Binding] =
     go(eg, pat, eg.find(cls), Binding(Map.empty, Map.empty))
@@ -121,13 +121,13 @@ class MatcherSpec extends AnyFunSuite {
 
   test("a repeated op variable requires the same op") {
     val eg = new EGraph
-    val pred: String => Boolean = _.startsWith("dict:")
-    val pat = PNode("bin:+", Vector(POpVar("d", pred, Vector(PVar("k"), PVar("a"))),
+    val pred: Op => Boolean = _.isInstanceOf[Op.Dict]
+    val pat = PNode(Op.Bin("+"), Vector(POpVar("d", pred, Vector(PVar("k"), PVar("a"))),
       POpVar("d", pred, Vector(PVar("k"), PVar("b")))))
     val same = eg.addExpr(Bin("+", Dict(Sym("k"), Num(1)), Dict(Sym("k"), Num(2))))
     val mixed = eg.addExpr(Bin("+", Dict(Sym("k"), Num(1)),
       Dict(Sym("k"), Num(2), unique = true, Phys.PLog)))
-    assert(Matcher.matches(eg, pat, same).map(_.op("d")) == Seq("dict:-l"))
+    assert(Matcher.matches(eg, pat, same).map(_.op("d")) == Seq(Op.Dict(unique = false, Phys.PLog)))
     assert(Matcher.matches(eg, pat, mixed).isEmpty)
     assert(RecursiveMatcher.matches(eg, pat, mixed).isEmpty)
   }
