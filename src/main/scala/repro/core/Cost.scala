@@ -81,7 +81,7 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
           yield combine(b, ca, costa, cb, costb)
       case Op.If =>
         for ((_, costc) <- child(0); (ct, costt) <- child(1)) yield {
-          val sel = if (children.ops(0).contains(Op.Bin("=="))) stats.selEq else stats.selOther
+          val sel = if (children.ops(0).contains(Op.Bin(BinOp.Eq))) stats.selEq else stats.selOther
           (ct.scaled(sel), costc + p.scalarOp + sel * costt)
         }
       case Op.Let =>
@@ -140,22 +140,24 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     }
   }
 
-  private def combine(op: String, ca: Card, costa: Double,
+  private def combine(op: BinOp, ca: Card, costa: Double,
                       cb: Card, costb: Double): Res = op match {
-    case "+" | "-" =>
+    case BinOp.Add | BinOp.Sub =>
       if (ca.isScalar && cb.isScalar) (Card.scalar, costa + costb + p.scalarOp)
       else {
         val c = unionCard(ca, cb)
         (c, costa + costb + p.dictOp * (ca.totalSize + cb.totalSize))
       }
-    case "*" =>
+    case BinOp.Mul =>
       if (ca.isScalar && cb.isScalar) (Card.scalar, costa + costb + p.scalarOp)
       else {
         // semiring-module product: levels concatenate ({k->v}*e = {k->v*e})
         val c = Card(ca.weight * cb.weight, ca.levels ++ cb.levels)
         (c, costa + costb + p.dictOp * math.max(1.0, c.totalSize))
       }
-    case _ => (Card.scalar, costa + costb + p.scalarOp)
+    case BinOp.Div | BinOp.Mod | BinOp.IDiv | BinOp.Eq | BinOp.Lt | BinOp.Le |
+         BinOp.Gt | BinOp.Ge | BinOp.And | BinOp.Or | BinOp.EvenBits | BinOp.OddBits =>
+      (Card.scalar, costa + costb + p.scalarOp)
   }
 
   private def unionCard(a: Card, b: Card): Card = {
@@ -319,32 +321,20 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     // Reconstruct the chosen term top-down. Each child is rebuilt in the
     // environment its cost was taken in, so a binder's body sees the card
     // of the bound subterm's best result, and the term is the one costed.
+    def noTerm(cls: Int) = new IllegalStateException(s"no finite-cost term for class ${eg.find(cls)}")
     def build(cls: Int, env: List[Card]): Expr = {
-      def noTerm = new IllegalStateException(s"no finite-cost term for class ${eg.find(cls)}")
-      val (_, _, n) = best(cls, env).getOrElse(throw noTerm)
+      val (_, _, n) = best(cls, env).getOrElse(throw noTerm(cls))
       val envs = new Array[List[Card]](n.children.length)
       nodeCost(n.op, env, new ClassChildren(n, bestLu) {
         override def res(i: Int, e: List[Card]): Option[Res] = { envs(i) = e; super.res(i, e) }
-      }).getOrElse(throw noTerm)
+      }).getOrElse(throw noTerm(cls))
       n.op.compose(n.children.indices.toVector.map(i => build(n.children(i), envs(i))))
     }
 
     runApproxPass()
     runPrunePass()
     runFvPass()
-    best(root, Nil) match {
-      case Some(r) =>
-        try (build(root, Nil), r._2)
-        catch {
-          case _: IllegalStateException =>
-            val e = Extract.smallest(eg, root)
-            (e, analyze(e)._2)
-        }
-      case None =>
-        // pruning or cycles starved the search — fall back to the
-        // structural representative, costed by direct analysis
-        val e = Extract.smallest(eg, root)
-        (e, analyze(e)._2)
-    }
+    val (_, cost, _) = best(root, Nil).getOrElse(throw noTerm(root))
+    (build(root, Nil), cost)
   }
 }

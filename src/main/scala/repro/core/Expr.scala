@@ -46,9 +46,9 @@ final case class Vr(ix: Int) extends Expr
 /** A global symbol — a physical array/hash/scalar, or a logical tensor
   * name in a Tensor Program before composition with its TSM. */
 final case class Sym(name: String) extends Expr
-/** Binary scalar/dictionary op. `op` ∈ + - * / % == != < <= > >= && ||
-  * min. Comparisons and logicals return 0/1. */
-final case class Bin(op: String, a: Expr, b: Expr) extends Expr
+/** Binary scalar/dictionary op: one of + - * / % idiv == < <= > >= && ||
+  * evenbits oddbits (see [[BinOp]]). Comparisons and logicals return 0/1. */
+final case class Bin(op: BinOp, a: Expr, b: Expr) extends Expr
 /** `if (cond) then thn` — else-branch is the additive zero (Sec. 3.2). */
 final case class IfThen(cond: Expr, thn: Expr) extends Expr
 /** `let %0 = bound in body`. */
@@ -72,6 +72,7 @@ final case class SubArr(arr: Expr, lo: Expr, hi: Expr) extends Expr
 final case class Merge(left: Expr, right: Expr, body: Expr) extends Expr
 
 object Expr {
+  import BinOp._
 
   /** Number of variables bound by each construct, per child position.
     * Children are listed in the same order as the case-class fields. */
@@ -173,8 +174,9 @@ object Expr {
   /** Is `e` linear in free variable `target`? True when the variable
     * occurs exactly once, and that occurrence is in a "value" position:
     * not a dictionary key, an if-condition, a lookup index, a range
-    * bound, or a divisor/modulus — the positions through which the
-    * summation homomorphism does not distribute. Used by the unnesting
+    * bound, a divisor, or an operand of an operator other than `+`, `-`,
+    * `*` and `/` — the positions through which the summation
+    * homomorphism does not distribute. Used by the unnesting
     * rule (sum over a summed dictionary), which is only sound for
     * bodies linear in the dictionary value. */
   def isLinearIn(e: Expr, target: Int): Boolean = {
@@ -182,10 +184,10 @@ object Expr {
     // ok(e, d) = occurrence inside e (at binder depth d) is in linear position
     def ok(e: Expr, d: Int): Boolean = e match {
       case Vr(_) | Num(_) | Sym(_) => true
-      case Bin(("/" | "%"), a, b) => ok(a, d) && occ(b, d) == 0
-      case Bin(("==" | "!=" | "<" | "<=" | ">" | ">=" | "&&" | "||"), a, b) =>
+      case Bin(Add | Sub | Mul, a, b) => ok(a, d) && ok(b, d)
+      case Bin(Div, a, b) => ok(a, d) && occ(b, d) == 0
+      case Bin(Mod | IDiv | Eq | Lt | Le | Gt | Ge | And | Or | EvenBits | OddBits, a, b) =>
         occ(a, d) == 0 && occ(b, d) == 0
-      case Bin(_, a, b)     => ok(a, d) && ok(b, d)
       case IfThen(c, t)     => occ(c, d) == 0 && ok(t, d)
       case Let(b, e2)       => ok(b, d) && ok(e2, d + 1)
       case Sum(c, b)        => ok(c, d) && ok(b, d + 2)
@@ -209,11 +211,10 @@ object Expr {
     def strict(e: Expr, idx: Int): Boolean = e match {
       case Vr(i)            => i == idx
       case Num(_) | Sym(_)  => false
-      case Bin("*", a, b)   => strict(a, idx) || strict(b, idx)
-      case Bin("+", a, b)   => strict(a, idx) && strict(b, idx)
-      case Bin("-", a, b)   => strict(a, idx) && strict(b, idx)
-      case Bin("/", a, _)   => strict(a, idx)
-      case Bin(_, _, _)     => false
+      case Bin(Mul, a, b)   => strict(a, idx) || strict(b, idx)
+      case Bin(Add | Sub, a, b) => strict(a, idx) && strict(b, idx)
+      case Bin(Div, a, _)   => strict(a, idx)
+      case Bin(Mod | IDiv | Eq | Lt | Le | Gt | Ge | And | Or | EvenBits | OddBits, _, _) => false
       case IfThen(_, t)     => strict(t, idx)
       case Let(b, e2)       => strict(e2, idx + 1) ||
                                (strict(b, idx) && strict(e2, 0))
@@ -238,15 +239,16 @@ object Expr {
       case Num(_) => Some(0)
       case Vr(_)  => None
       case Sym(n) => if (symIsScalar(n)) Some(0) else None
-      case Bin("*", a, b) => for (x <- go(a); y <- go(b)) yield x + y
-      case Bin(("+" | "-"), a, b) =>
+      case Bin(Mul, a, b) => for (x <- go(a); y <- go(b)) yield x + y
+      case Bin(Add | Sub, a, b) =>
         (go(a), go(b)) match {
           case (Some(x), Some(y)) => Some(math.max(x, y))
           case (Some(x), None) => Some(x) // additive mix must agree
           case (None, Some(y)) => Some(y)
           case _ => None
         }
-      case Bin(_, _, _) => Some(0) // comparisons, division, bit ops
+      case Bin(Div | Mod | IDiv | Eq | Lt | Le | Gt | Ge | And | Or | EvenBits | OddBits, _, _) =>
+        Some(0) // comparisons, division, bit ops
       case IfThen(_, t) => go(t)
       case Let(_, b)    => go(b)
       case Sum(_, b)    => go(b)

@@ -73,7 +73,7 @@ object Optimizer {
     val symIsScalar: String => Boolean = n => stats.card(n).isScalar
     var e = e0
     var cost = Double.MaxValue
-    var agg = RunStats(0, 0, 0, 0, 0, saturated = true)
+    var agg = RunStats(0, 0, 0, 0, 0)
     var round = 0
     var progress = true
     while (round < rounds && progress) {

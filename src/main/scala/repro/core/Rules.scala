@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.egraph._
+import scala.util.Try
 
 /** The rewrite-rule base (Fig. 3 and Sec. 5.6). Rule names follow the
   * paper where a rule is shown there (A*, C*, L*, D*, F*, T*); the rest
@@ -17,13 +18,14 @@ import repro.egraph._
   */
 object Rules {
   import Rule.{simple, fvAvoid, allOf, onRepr}
+  import BinOp._
 
   // ---- pattern/template shorthand -----------------------------------------
   private def pv(n: String) = PVar(n)
   private def p(op: Op, cs: Pat*) = PNode(op, cs.toVector)
-  private def pb(op: String, a: Pat, b: Pat) = p(Op.Bin(op), a, b)
+  private def pb(op: BinOp, a: Pat, b: Pat) = p(Op.Bin(op), a, b)
   private def r(op: Op, cs: RT*) = RNode(op, cs: _*)
-  private def rb(op: String, a: RT, b: RT) = r(Op.Bin(op), a, b)
+  private def rb(op: BinOp, a: RT, b: RT) = r(Op.Bin(op), a, b)
   private def variable(i: Int) = p(Op.Var(i))
   private def num(v: Double) = p(Op.Num(v))
 
@@ -45,28 +47,6 @@ object Rules {
     * no longer one-per-iteration). */
   private def dropUnique(dv: String) = withDict(dv)(_.copy(unique = false))
   private def keepOp(dv: String): (RuleCtx, Subst) => Op = (_, s) => s.op(dv)
-
-  /** `x op y` for constant folding, when defined. */
-  private def fold(op: String, x: Double, y: Double): Option[Double] = op match {
-    case "+" => Some(x + y)
-    case "-" => Some(x - y)
-    case "*" => Some(x * y)
-    case "/" => if (y != 0) Some(x / y) else None
-    case "%" => if (y != 0 && x.isWhole && y.isWhole)
-      Some((x.toLong % y.toLong).toDouble) else None
-    case "idiv" => if (y != 0 && x.isWhole && y.isWhole)
-      Some(Math.floorDiv(x.toLong, y.toLong).toDouble) else None
-    case "min" => Some(math.min(x, y))
-    case "==" => Some(if (x == y) 1.0 else 0.0)
-    case "!=" => Some(if (x != y) 1.0 else 0.0)
-    case "<"  => Some(if (x < y) 1.0 else 0.0)
-    case "<=" => Some(if (x <= y) 1.0 else 0.0)
-    case ">"  => Some(if (x > y) 1.0 else 0.0)
-    case ">=" => Some(if (x >= y) 1.0 else 0.0)
-    case "&&" => Some(if (x != 0 && y != 0) 1.0 else 0.0)
-    case "||" => Some(if (x != 0 || y != 0) 1.0 else 0.0)
-    case _ => None
-  }
 
   private def shiftF(delta: Int, cutoff: Int = 0): Int => Int =
     i => if (i >= cutoff) i + delta else i
@@ -90,102 +70,104 @@ object Rules {
 
   // ---- associativity / commutativity (A1-A4, C1-C2) ------------------------
   private val assocComm = Seq(
-    simple("A1l", pb("*", pb("*", pv("a"), pv("b")), pv("c")),
-      rb("*", RVar("a"), rb("*", RVar("b"), RVar("c")))),
-    simple("A1r", pb("*", pv("a"), pb("*", pv("b"), pv("c"))),
-      rb("*", rb("*", RVar("a"), RVar("b")), RVar("c"))),
+    simple("A1l", pb(Mul, pb(Mul, pv("a"), pv("b")), pv("c")),
+      rb(Mul, RVar("a"), rb(Mul, RVar("b"), RVar("c")))),
+    simple("A1r", pb(Mul, pv("a"), pb(Mul, pv("b"), pv("c"))),
+      rb(Mul, rb(Mul, RVar("a"), RVar("b")), RVar("c"))),
     // NOTE: no commutativity for * — `{i->a} * {j->b} = {i->{j->a*b}}`
     // is the (non-commutative) module product; the paper's Fig. 3 lists
     // commutativity only for + and == for the same reason.
-    simple("C1", pb("+", pv("a"), pv("b")), rb("+", RVar("b"), RVar("a"))),
-    simple("AAdd", pb("+", pb("+", pv("a"), pv("b")), pv("c")),
-      rb("+", RVar("a"), rb("+", RVar("b"), RVar("c")))),
-    simple("C2", pb("==", pv("a"), pv("b")), rb("==", RVar("b"), RVar("a"))),
-    simple("CAnd", pb("&&", pv("a"), pv("b")), rb("&&", RVar("b"), RVar("a"))),
+    simple("C1", pb(Add, pv("a"), pv("b")), rb(Add, RVar("b"), RVar("a"))),
+    simple("AAdd", pb(Add, pb(Add, pv("a"), pv("b")), pv("c")),
+      rb(Add, RVar("a"), rb(Add, RVar("b"), RVar("c")))),
+    simple("C2", pb(Eq, pv("a"), pv("b")), rb(Eq, RVar("b"), RVar("a"))),
+    simple("CAnd", pb(And, pv("a"), pv("b")), rb(And, RVar("b"), RVar("a"))),
     // A2: {k -> a*b} <-> {k -> a} * b
-    simple("A2l", pdict("d", pv("k"), pb("*", pv("a"), pv("b"))),
-      rb("*", RNodeF(keepOp("d"), RVar("k"), RVar("a")), RVar("b"))),
-    simple("A2r", pb("*", pdict("d", pv("k"), pv("a")), pv("b")),
-      RNodeF(keepOp("d"), RVar("k"), rb("*", RVar("a"), RVar("b")))),
+    simple("A2l", pdict("d", pv("k"), pb(Mul, pv("a"), pv("b"))),
+      rb(Mul, RNodeF(keepOp("d"), RVar("k"), RVar("a")), RVar("b"))),
+    simple("A2r", pb(Mul, pdict("d", pv("k"), pv("a")), pv("b")),
+      RNodeF(keepOp("d"), RVar("k"), rb(Mul, RVar("a"), RVar("b")))),
     // A3: {k -> a*b} <-> a * {k -> b} — ONLY for scalar a: the module
     // product does not commute past a dictionary factor (a dict-valued
     // `a` would swap key nesting levels)
-    simple("A3l", pdict("d", pv("k"), pb("*", pv("a"), pv("b"))),
-      rb("*", RVar("a"), RNodeF(keepOp("d"), RVar("k"), RVar("b"))),
+    simple("A3l", pdict("d", pv("k"), pb(Mul, pv("a"), pv("b"))),
+      rb(Mul, RVar("a"), RNodeF(keepOp("d"), RVar("k"), RVar("b"))),
       cond = scalarTyped("a")),
-    simple("A3r", pb("*", pv("a"), pdict("d", pv("k"), pv("b"))),
-      RNodeF(keepOp("d"), RVar("k"), rb("*", RVar("a"), RVar("b"))),
+    simple("A3r", pb(Mul, pv("a"), pdict("d", pv("k"), pv("b"))),
+      RNodeF(keepOp("d"), RVar("k"), rb(Mul, RVar("a"), RVar("b"))),
       cond = scalarTyped("a")),
     // Sec 5.6: force dictionary products into explicit loops —
     // a * d -> sum(<k,v> in d) {@unique k -> a' * v}  (a scalar, d dict)
-    simple("MulLoopL", pb("*", pv("a"), pv("b")),
+    simple("MulLoopL", pb(Mul, pv("a"), pv("b")),
       r(Op.Sum, RVar("b"),
         RNode(Op.Dict(unique = true, Phys.PLog), RLit(Vr(1)),
-          rb("*", RRemap("a", shiftF(+2)), RLit(Vr(0))))),
+          rb(Mul, RRemap("a", shiftF(+2)), RLit(Vr(0))))),
       cond = allOf(scalarTyped("a"), dictTyped("b"))),
     // d * x -> sum(<k,v> in d) {@unique k -> v * x'}   (d dict, x anything)
-    simple("MulLoopR", pb("*", pv("a"), pv("b")),
+    simple("MulLoopR", pb(Mul, pv("a"), pv("b")),
       r(Op.Sum, RVar("a"),
         RNode(Op.Dict(unique = true, Phys.PLog), RLit(Vr(1)),
-          rb("*", RLit(Vr(0)), RRemap("b", shiftF(+2))))),
+          rb(Mul, RLit(Vr(0)), RRemap("b", shiftF(+2))))),
       cond = dictTyped("a")),
     // A4: if (c) then a*b <-> a * (if (c) then b)
-    simple("A4l", p(Op.If, pv("c"), pb("*", pv("a"), pv("b"))),
-      rb("*", RVar("a"), r(Op.If, RVar("c"), RVar("b")))),
-    simple("A4r", pb("*", pv("a"), p(Op.If, pv("c"), pv("b"))),
-      r(Op.If, RVar("c"), rb("*", RVar("a"), RVar("b")))),
+    simple("A4l", p(Op.If, pv("c"), pb(Mul, pv("a"), pv("b"))),
+      rb(Mul, RVar("a"), r(Op.If, RVar("c"), RVar("b")))),
+    simple("A4r", pb(Mul, pv("a"), p(Op.If, pv("c"), pv("b"))),
+      r(Op.If, RVar("c"), rb(Mul, RVar("a"), RVar("b")))),
   )
 
   // ---- algebraic simplifications (L1-L6 and friends) -----------------------
   private val zero = RLit(Num(0))
   private val simplif = Seq(
-    simple("L1a", pb("+", pv("a"), num(0.0)), RVar("a")),
-    simple("L1b", pb("+", num(0.0), pv("a")), RVar("a")),
-    simple("L2a", pb("*", pv("a"), num(0.0)), zero),
-    simple("L2b", pb("*", num(0.0), pv("a")), zero),
-    simple("L3a", pb("*", pv("a"), num(1.0)), RVar("a")),
-    simple("L3b", pb("*", num(1.0), pv("a")), RVar("a")),
-    simple("L5", pb("-", pv("a"), num(0.0)), RVar("a")),
-    simple("L6", pb("-", pv("a"), pv("a")), zero),
-    simple("EqRefl", pb("==", pv("a"), pv("a")), RLit(Num(1))),
+    simple("L1a", pb(Add, pv("a"), num(0.0)), RVar("a")),
+    simple("L1b", pb(Add, num(0.0), pv("a")), RVar("a")),
+    simple("L2a", pb(Mul, pv("a"), num(0.0)), zero),
+    simple("L2b", pb(Mul, num(0.0), pv("a")), zero),
+    simple("L3a", pb(Mul, pv("a"), num(1.0)), RVar("a")),
+    simple("L3b", pb(Mul, num(1.0), pv("a")), RVar("a")),
+    simple("L5", pb(Sub, pv("a"), num(0.0)), RVar("a")),
+    simple("L6", pb(Sub, pv("a"), pv("a")), zero),
+    simple("EqRefl", pb(Eq, pv("a"), pv("a")), RLit(Num(1))),
     // if (true) then e -> e ; if (false) then e -> 0
     Rule("IfT", p(Op.If, POpVar("c", { case Op.Num(v) => v != 0.0; case _ => false },
         Vector.empty), pv("e")),
       (ctx, s) => Some(s("e"))),
     simple("IfF", p(Op.If, num(0.0), pv("e")), zero),
-    // constant folding on scalar binops
+    // constant folding on scalar binops, except where evaluation would
+    // throw (an integer op on a fraction or by zero) or `/` divide by zero
     Rule("Fold",
       POpVar("op", _.isInstanceOf[Op.Bin], Vector(
         POpVar("x", isNum, Vector.empty), POpVar("y", isNum, Vector.empty))),
       (ctx, s) => (s.op("op"), s.op("x"), s.op("y")) match {
-        case (Op.Bin(op), Op.Num(x), Op.Num(y)) => fold(op, x, y).map(d => ctx.eg.addExpr(Num(d)))
+        case (Op.Bin(op), Op.Num(x), Op.Num(y)) if !(op == Div && y == 0) =>
+          Try(op(x, y)).toOption.map(d => ctx.eg.addExpr(Num(d)))
         case _ => None
       }),
     // if (c1) then if (c2) then e <-> if (c1 && c2) then e
     simple("IfIf1", p(Op.If, pv("c1"), p(Op.If, pv("c2"), pv("e"))),
-      r(Op.If, rb("&&", RVar("c1"), RVar("c2")), RVar("e"))),
-    simple("IfIf2", p(Op.If, pb("&&", pv("c1"), pv("c2")), pv("e")),
+      r(Op.If, rb(And, RVar("c1"), RVar("c2")), RVar("e"))),
+    simple("IfIf2", p(Op.If, pb(And, pv("c1"), pv("c2")), pv("e")),
       r(Op.If, RVar("c1"), r(Op.If, RVar("c2"), RVar("e")))),
   )
 
   // ---- distributivity / factorization (D1-D4) ------------------------------
   private val factor = Seq(
-    simple("D1l", pb("+", pb("*", pv("a"), pv("b")), pb("*", pv("a"), pv("c"))),
-      rb("*", RVar("a"), rb("+", RVar("b"), RVar("c")))),
-    simple("D1r", pb("*", pv("a"), pb("+", pv("b"), pv("c"))),
-      rb("+", rb("*", RVar("a"), RVar("b")), rb("*", RVar("a"), RVar("c")))),
+    simple("D1l", pb(Add, pb(Mul, pv("a"), pv("b")), pb(Mul, pv("a"), pv("c"))),
+      rb(Mul, RVar("a"), rb(Add, RVar("b"), RVar("c")))),
+    simple("D1r", pb(Mul, pv("a"), pb(Add, pv("b"), pv("c"))),
+      rb(Add, rb(Mul, RVar("a"), RVar("b")), rb(Mul, RVar("a"), RVar("c")))),
     // D2: sum(<k,v> in e1) a*b -> a' * sum(<k,v> in e1) b    (a invariant)
-    simple("D2l", p(Op.Sum, pv("e1"), pb("*", pv("a"), pv("b"))),
-      rb("*", RRemap("a", shiftF(-2)), r(Op.Sum, RVar("e1"), RVar("b"))),
+    simple("D2l", p(Op.Sum, pv("e1"), pb(Mul, pv("a"), pv("b"))),
+      rb(Mul, RRemap("a", shiftF(-2)), r(Op.Sum, RVar("e1"), RVar("b"))),
       cond = fvAvoid("a", Set(0, 1))),
-    simple("D2r", pb("*", pv("a"), p(Op.Sum, pv("e1"), pv("b"))),
-      r(Op.Sum, RVar("e1"), rb("*", RRemap("a", shiftF(+2)), RVar("b")))),
+    simple("D2r", pb(Mul, pv("a"), p(Op.Sum, pv("e1"), pv("b"))),
+      r(Op.Sum, RVar("e1"), rb(Mul, RRemap("a", shiftF(+2)), RVar("b")))),
     // D3: sum(<k,v> in e1) a*b -> (sum(<k,v> in e1) a) * b'   (b invariant)
-    simple("D3l", p(Op.Sum, pv("e1"), pb("*", pv("a"), pv("b"))),
-      rb("*", r(Op.Sum, RVar("e1"), RVar("a")), RRemap("b", shiftF(-2))),
+    simple("D3l", p(Op.Sum, pv("e1"), pb(Mul, pv("a"), pv("b"))),
+      rb(Mul, r(Op.Sum, RVar("e1"), RVar("a")), RRemap("b", shiftF(-2))),
       cond = fvAvoid("b", Set(0, 1))),
-    simple("D3r", pb("*", p(Op.Sum, pv("e1"), pv("a")), pv("b")),
-      r(Op.Sum, RVar("e1"), rb("*", RVar("a"), RRemap("b", shiftF(+2))))),
+    simple("D3r", pb(Mul, p(Op.Sum, pv("e1"), pv("a")), pv("b")),
+      r(Op.Sum, RVar("e1"), rb(Mul, RVar("a"), RRemap("b", shiftF(+2))))),
     // D4: sum(<k,v> in e1) {k2 -> v2} -> {k2' -> sum(<k,v> in e1) v2}  (k2 inv.)
     simple("D4l", p(Op.Sum, pv("e1"), pdict("d", pv("k2"), pv("v2"))),
       RNodeF(dropUnique("d"), RRemap("k2", shiftF(-2)),
@@ -201,7 +183,7 @@ object Rules {
     // F1: sum(<k,v> in e1) if (k == e2) then e3
     //   -> let k = e2' in let v = e1'(k) in e3        (k,v ∉ FV(e2))
     simple("F1",
-      p(Op.Sum, pv("e1"), p(Op.If, pb("==", variable(1), pv("e2")), pv("e3"))),
+      p(Op.Sum, pv("e1"), p(Op.If, pb(Eq, variable(1), pv("e2")), pv("e3"))),
       r(Op.Let, RRemap("e2", shiftF(-2)),
         r(Op.Let, r(Op.Get, RRemap("e1", shiftF(+1)), RLit(Vr(0))),
           RVar("e3"))),
@@ -211,20 +193,20 @@ object Rules {
     // (sound without strictness: range membership IS the bounds check)
     simple("F1r",
       p(Op.Sum, p(Op.Rng, pv("lo"), pv("hi")),
-        p(Op.If, pb("==", variable(1), pv("e2")), pv("e3"))),
+        p(Op.If, pb(Eq, variable(1), pv("e2")), pv("e3"))),
       r(Op.Let, RRemap("e2", shiftF(-2)),
-        r(Op.If, rb("&&", rb("<=", RRemap("lo", shiftF(+1)), RLit(Vr(0))),
-                         rb("<", RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
+        r(Op.If, rb(And, rb(Le, RRemap("lo", shiftF(+1)), RLit(Vr(0))),
+                         rb(Lt, RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
           r(Op.Let, RLit(Vr(0)), RVar("e3")))),
       cond = fvAvoid("e2", Set(0, 1))),
     // F1s: sum(<k,v> in e(lo:hi)) if (k == e2) then e3
     //   -> let k = e2' in if (lo' <= k && k < hi') then let v = e'(k) in e3
     simple("F1s",
       p(Op.Sum, p(Op.Sub, pv("e"), pv("lo"), pv("hi")),
-        p(Op.If, pb("==", variable(1), pv("e2")), pv("e3"))),
+        p(Op.If, pb(Eq, variable(1), pv("e2")), pv("e3"))),
       r(Op.Let, RRemap("e2", shiftF(-2)),
-        r(Op.If, rb("&&", rb("<=", RRemap("lo", shiftF(+1)), RLit(Vr(0))),
-                         rb("<", RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
+        r(Op.If, rb(And, rb(Le, RRemap("lo", shiftF(+1)), RLit(Vr(0))),
+                         rb(Lt, RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
           r(Op.Let, r(Op.Get, RRemap("e", shiftF(+1)), RLit(Vr(0))), RVar("e3")))),
       cond = fvAvoid("e2", Set(0, 1))),
     // F2: sum(<k1,v1> in sum(<k2,v2> in e1) {k2 -> e2}) e3
@@ -258,7 +240,7 @@ object Rules {
     //   -> merge(<k1,k2,v> in <e1, e2>) e3'         (k1,v1 ∉ FV(e2'))
     simple("F4",
       p(Op.Sum, pv("e1"), p(Op.Sum, pv("e2"),
-        p(Op.If, pb("==", variable(2), variable(0)), pv("e3")))),
+        p(Op.If, pb(Eq, variable(2), variable(0)), pv("e3")))),
       RNode(Op.Merge, RVar("e1"), RRemap("e2", shiftF(-2)),
         RRemap("e3", i => i match {
           case 0 => 0; case 1 => 1; case 2 => 0; case 3 => 2; case n => n - 1
@@ -279,12 +261,12 @@ object Rules {
     // LICM: sum(<k,v> in e1) {k2 -> a * t} with t an invariant sum
     //   -> let t' in sum(<k,v> in e1') {k2' -> a' * %2}
     simple("LICM",
-      p(Op.Sum, pv("e1"), pdict("d", pv("k2"), pb("*", pv("a"), pv("t")))),
+      p(Op.Sum, pv("e1"), pdict("d", pv("k2"), pb(Mul, pv("a"), pv("t")))),
       r(Op.Let, RRemap("t", shiftF(-2)),
         r(Op.Sum, RRemap("e1", shiftF(+1)),
           RNodeF(keepOp("d"),
             RRemap("k2", shiftF(+1, 2)),
-            rb("*", RRemap("a", shiftF(+1, 2)), RLit(Vr(2)))))),
+            rb(Mul, RRemap("a", shiftF(+1, 2)), RLit(Vr(2)))))),
       cond = allOf(fvAvoid("t", Set(0, 1)), reprIsSum("t"))),
     // X1 (interchange): sum(<k1,v1> in e1) sum(<k2,v2> in e2') body
     //   -> sum(<k2,v2> in e2) sum(<k1,v1> in e1') body'   (e2' invariant)
@@ -302,21 +284,21 @@ object Rules {
   private val dictionary = Seq(
     simple("T1", p(Op.Sum, pv("e"), pdict("d", variable(1), variable(0))),
       RVar("e")),
-    simple("T2", pb("+", p(Op.Get, pv("a"), pv("i")), p(Op.Get, pv("b"), pv("i"))),
-      r(Op.Get, rb("+", RVar("a"), RVar("b")), RVar("i"))),
-    simple("T3", pb("+", pdict("d1", pv("k"), pv("a")), pdict("d2", pv("k"), pv("b"))),
-      RNodeF(dropUnique("d1"), RVar("k"), rb("+", RVar("a"), RVar("b")))),
+    simple("T2", pb(Add, p(Op.Get, pv("a"), pv("i")), p(Op.Get, pv("b"), pv("i"))),
+      r(Op.Get, rb(Add, RVar("a"), RVar("b")), RVar("i"))),
+    simple("T3", pb(Add, pdict("d1", pv("k"), pv("a")), pdict("d2", pv("k"), pv("b"))),
+      RNodeF(dropUnique("d1"), RVar("k"), rb(Add, RVar("a"), RVar("b")))),
     // T4: (a:b)(i) -> if (i >= a && i < b) then i
     simple("T4", p(Op.Get, p(Op.Rng, pv("a"), pv("b")), pv("i")),
-      r(Op.If, rb("&&", rb(">=", RVar("i"), RVar("a")), rb("<", RVar("i"), RVar("b"))),
+      r(Op.If, rb(And, rb(Ge, RVar("i"), RVar("a")), rb(Lt, RVar("i"), RVar("b"))),
         RVar("i"))),
     // T5: e(a:b)(i) -> if (i >= a && i < b) then e(i)
     simple("T5", p(Op.Get, p(Op.Sub, pv("e"), pv("a"), pv("b")), pv("i")),
-      r(Op.If, rb("&&", rb(">=", RVar("i"), RVar("a")), rb("<", RVar("i"), RVar("b"))),
+      r(Op.If, rb(And, rb(Ge, RVar("i"), RVar("a")), rb(Lt, RVar("i"), RVar("b"))),
         r(Op.Get, RVar("e"), RVar("i")))),
     // T6: {k -> v}(i) -> if (i == k) then v
     simple("T6", p(Op.Get, pdict("d", pv("k"), pv("v")), pv("i")),
-      r(Op.If, rb("==", RVar("i"), RVar("k")), RVar("v"))),
+      r(Op.If, rb(Eq, RVar("i"), RVar("k")), RVar("v"))),
     // T8: (if (c) then d)(i) -> if (c) then d(i) — lookups see through
     // conditionals (the zero dictionary looks up to 0)
     simple("T8", p(Op.Get, p(Op.If, pv("c"), pv("d")), pv("i")),
@@ -329,7 +311,7 @@ object Rules {
     simple("T7",
       p(Op.Get, p(Op.Sum, pv("e1"), pdict("d", pv("ek"), pv("ev"))), pv("i")),
       r(Op.Sum, RVar("e1"),
-        r(Op.If, rb("==", RRemap("i", shiftF(+2)), RVar("ek")), RVar("ev")))),
+        r(Op.If, rb(Eq, RRemap("i", shiftF(+2)), RVar("ek")), RVar("ev")))),
   )
 
   // ---- physical rules (Sec. 5.6) -------------------------------------------

@@ -20,7 +20,7 @@ object Sugar {
   /** Reference — resolves to the nearest enclosing binding of `name`,
     * else to the global symbol `name`. */
   final case class SRef(name: String) extends S
-  final case class SBin(op: String, a: S, b: S) extends S
+  final case class SBin(op: BinOp, a: S, b: S) extends S
   final case class SIf(c: S, t: S) extends S
   final case class SLet(bindings: List[(String, S)], body: S) extends S
   /** One `<pattern, valName> in coll` generator; the pattern is a tuple
@@ -56,9 +56,9 @@ object Sugar {
   def sub(arr: S, lo: S, hi: S): S = SSub(arr, lo, hi)
   def let(bs: (String, S)*)(body: S): S = SLet(bs.toList, body)
   def iff(c: S)(t: S): S = SIf(c, t)
-  def mul(xs: S*): S = xs.reduceLeft(SBin("*", _, _))
-  def add(xs: S*): S = xs.reduceLeft(SBin("+", _, _))
-  def eqq(a: S, b: S): S = SBin("==", a, b)
+  def mul(xs: S*): S = xs.reduceLeft(SBin(BinOp.Mul, _, _))
+  def add(xs: S*): S = xs.reduceLeft(SBin(BinOp.Add, _, _))
+  def eqq(a: S, b: S): S = SBin(BinOp.Eq, a, b)
 
   // -- compilation ----------------------------------------------------------
 
@@ -133,6 +133,6 @@ object Sugar {
                        body: Expr): Expr = cond match {
     case None => body
     case Some((a, b)) =>
-      IfThen(Bin("==", Vr(scope.indexOf(a)), Vr(scope.indexOf(b))), body)
+      IfThen(Bin(BinOp.Eq, Vr(scope.indexOf(a)), Vr(scope.indexOf(b))), body)
   }
 }

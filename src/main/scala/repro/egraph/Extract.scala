@@ -36,27 +36,18 @@ object Extract {
     best
   }
 
-  /** Reconstruct the smallest representative [[Expr]] of every class. */
+  /** Reconstruct the smallest representative [[Expr]] of every class,
+    * sharing subterms. */
   def reprTable(eg: EGraph): Map[Int, Expr] = {
     val table = sizeTable(eg)
-    val build = builder(eg, table)
-    table.keysIterator.map(c => c -> build(c)).toMap
-  }
-
-  /** Smallest representative of a single class (fresh computation). */
-  def smallest(eg: EGraph, cls: Int): Expr = builder(eg, sizeTable(eg))(cls)
-
-  /** Rebuilds each class's smallest term from `table`, sharing subterms. */
-  private def builder(eg: EGraph, table: mutable.HashMap[Int, (Int, ENode)]): Int => Expr = {
     val memo = mutable.HashMap.empty[Int, Expr]
     def build(cid0: Int): Expr = {
       val cid = eg.find(cid0)
       memo.getOrElseUpdate(cid, {
-        val (_, n) = table.getOrElse(cid,
-          throw new IllegalStateException(s"class $cid has no finite representative"))
+        val n = table(cid)._2
         n.op.compose(n.children.map(build))
       })
     }
-    build
+    table.keysIterator.map(c => c -> build(c)).toMap
   }
 }

@@ -1,7 +1,7 @@
 package repro.egraph
 
 import repro.core
-import repro.core.{Expr, Phys}
+import repro.core.{BinOp, Expr, Phys}
 
 /** The operator of an e-node: one case per SDQLite construct, with the
   * leaf payloads (number, De Bruijn index, symbol name, binary operator)
@@ -32,7 +32,7 @@ object Op {
   final case class Sym(name: String) extends Op(0) {
     def compose(cs: Vector[Expr]): Expr = core.Sym(name)
   }
-  final case class Bin(op: String) extends Op(2) {
+  final case class Bin(op: BinOp) extends Op(2) {
     def compose(cs: Vector[Expr]): Expr = core.Bin(op, cs(0), cs(1))
   }
   final case class Dict(unique: Boolean, phys: Phys) extends Op(2) {

@@ -25,7 +25,7 @@ final case class RNodeF(opf: (RuleCtx, Subst) => Op, cs: RT*) extends RT
 final class RuleCtx(val eg: EGraph, reprs: Map[Int, Expr],
                     val symIsScalar: String => Boolean = _ => false) {
   def repr(cls: Int): Expr =
-    reprs.getOrElse(cls, reprs.getOrElse(eg.find(cls), Extract.smallest(eg, cls)))
+    reprs.getOrElse(cls, throw new IllegalStateException(s"class $cls has no representative"))
 
   private val facts = mutable.HashMap.empty[(Any, Int), Boolean]
 
@@ -94,12 +94,13 @@ final case class SatConfig(
   * [[RunStats.IterCap]] or [[RunStats.Timeout]]. */
 final case class RunStats(
     timeMs: Double, iters: Int, nodes: Int, classes: Int, memos: Long,
-    saturated: Boolean, stop: String = RunStats.Saturated) {
+    stop: String = RunStats.Saturated) {
+  def saturated: Boolean = stop == RunStats.Saturated
   /** Aggregate of consecutive runs; keeps the first stop reason that is
     * not [[RunStats.Saturated]]. */
   def +(o: RunStats): RunStats = RunStats(
     timeMs + o.timeMs, iters + o.iters, math.max(nodes, o.nodes),
-    math.max(classes, o.classes), memos + o.memos, saturated && o.saturated,
+    math.max(classes, o.classes), memos + o.memos,
     if (stop != RunStats.Saturated) stop else o.stop)
 }
 
@@ -151,7 +152,6 @@ object Saturate {
       else if (elapsed >= cfg.timeoutMs) stop = RunStats.Timeout
     }
     if (stop == null) stop = RunStats.IterCap
-    RunStats(elapsed, iter, eg.nodeCount, eg.classCount, eg.memoCount,
-      stop == RunStats.Saturated, stop)
+    RunStats(elapsed, iter, eg.nodeCount, eg.classCount, eg.memoCount, stop)
   }
 }

@@ -26,7 +26,7 @@ final class Interp(symtab: collection.Map[String, Value]) {
   private def local(i: Int): Value = stack(top - 1 - i)
 
   def eval(e: Expr): Value = e match {
-    case Num(v) => if (v == 0) VZero else VNum(v)
+    case Num(v) => num(v)
     case Vr(i)  => local(i)
     case Sym(n) => symtab.getOrElse(n,
       throw new NoSuchElementException(s"unbound symbol $n"))
@@ -56,51 +56,23 @@ final class Interp(symtab: collection.Map[String, Value]) {
     case Merge(l, r, body) => evalMerge(l, r, body)
   }
 
-  private def binop(op: String, ae: Expr, be: Expr): Value = op match {
-    case "&&" =>
-      // short-circuit
-      if (!Value.truthy(eval(ae))) VZero
-      else if (Value.truthy(eval(be))) VNum(1) else VZero
-    case "||" =>
-      if (Value.truthy(eval(ae))) VNum(1)
-      else if (Value.truthy(eval(be))) VNum(1) else VZero
+  /** `+`, `*` and `-` also work on dictionaries (`a - b` is
+    * `a + (-1) * b`); `&&` and `||` short-circuit. */
+  private def binop(op: BinOp, ae: Expr, be: Expr): Value = op match {
+    case BinOp.And => if (Value.truthy(eval(ae)) && Value.truthy(eval(be))) VNum(1) else VZero
+    case BinOp.Or => if (Value.truthy(eval(ae)) || Value.truthy(eval(be))) VNum(1) else VZero
     case _ =>
       val a = eval(ae); val b = eval(be)
       op match {
-        case "+" => Value.add(a, b)
-        case "*" => Value.mul(a, b)
-        case "-" =>
-          val d = Value.asNum(a) - Value.asNum(b)
-          if (d == 0) VZero else VNum(d)
-        case "/" => VNum(Value.asNum(a) / Value.asNum(b))
-        case "%" => VNum((Value.asLong(a) % Value.asLong(b)).toDouble)
-        case "min" => VNum(math.min(Value.asNum(a), Value.asNum(b)))
-        case "idiv" => VNum(Math.floorDiv(Value.asLong(a), Value.asLong(b)).toDouble)
-        case "evenbits" => VNum(compactBits(Value.asLong(a)).toDouble)
-        case "oddbits"  => VNum(compactBits(Value.asLong(a) >> 1).toDouble)
-        case "==" => bool(Value.asNum(a) == Value.asNum(b))
-        case "!=" => bool(Value.asNum(a) != Value.asNum(b))
-        case "<"  => bool(Value.asNum(a) < Value.asNum(b))
-        case "<=" => bool(Value.asNum(a) <= Value.asNum(b))
-        case ">"  => bool(Value.asNum(a) > Value.asNum(b))
-        case ">=" => bool(Value.asNum(a) >= Value.asNum(b))
-        case other => throw new IllegalArgumentException(s"unknown op $other")
+        case BinOp.Add => Value.add(a, b)
+        case BinOp.Mul => Value.mul(a, b)
+        case BinOp.Sub => Value.add(a, Value.mul(MinusOne, b))
+        case _ => num(op(Value.asNum(a), Value.asNum(b)))
       }
   }
 
-  private def bool(b: Boolean): Value = if (b) VNum(1) else VZero
-
-  /** Gather every second bit (bit 0, 2, 4, ...) into a compact integer —
-    * the Morton-curve coordinate extraction (`even_bits` of Sec. 4). */
-  private def compactBits(x0: Long): Long = {
-    var x = x0 & 0x5555555555555555L
-    x = (x | (x >> 1)) & 0x3333333333333333L
-    x = (x | (x >> 2)) & 0x0f0f0f0f0f0f0f0fL
-    x = (x | (x >> 4)) & 0x00ff00ff00ff00ffL
-    x = (x | (x >> 8)) & 0x0000ffff0000ffffL
-    x = (x | (x >> 16)) & 0x00000000ffffffffL
-    x
-  }
+  private def num(d: Double): Value = if (d == 0) VZero else VNum(d)
+  private val MinusOne = VNum(-1)
 
   /** `sum(<k,v> in coll) body` — pushes key then value, accumulates.
     * Fast paths avoid allocating a singleton dictionary per iteration

@@ -1,5 +1,6 @@
 package repro.exec
 
+import repro.core.BinOp
 import scala.collection.mutable.LongMap
 
 /** Runtime value model for the execution engine (replaces the paper's
@@ -134,12 +135,7 @@ object Value {
     case other   => throw new IllegalArgumentException(s"expected scalar, got $other")
   }
 
-  def asLong(v: Value): Long = {
-    val d = asNum(v)
-    val l = d.toLong
-    require(l.toDouble == d, s"expected integer key, got $d")
-    l
-  }
+  def asLong(v: Value): Long = BinOp.whole(asNum(v))
 
   def asDict(v: Value): VDict = v match {
     case d: VDict => d

@@ -237,7 +237,7 @@ object Formats {
     val hN = s"${name}_H"
     val tsm = compile(
       sum(gen("d")("x", hN))(
-        SDict(List(SBin("idiv", v("d"), mat.n), SBin("%", v("d"), mat.n)), v("x"))))
+        SDict(List(SBin(BinOp.IDiv, v("d"), mat.n), SBin(BinOp.Mod, v("d"), mat.n)), v("x"))))
     Storage(name, "Hash",
       Map(hN -> new VHashN(m)), tsm,
       Card.of(1.0, (mat.nnz, false), (1.0, false)),
@@ -342,7 +342,7 @@ object Formats {
         SDict(List(v("i")),
           sum(gen("j")("_", rng(0, add(v("i"), 1))))(
             SDict(List(v("j")),
-              get(vN, add(SBin("idiv", mul(v("i"), add(v("i"), 1)), 2), v("j"))),
+              get(vN, add(SBin(BinOp.IDiv, mul(v("i"), add(v("i"), 1)), 2), v("j"))),
               unique = List(true))),
           unique = List(true))))
     Storage(name, "LowerTri", Map(vN -> denseArr(vals)), tsm,
@@ -359,7 +359,7 @@ object Formats {
     val lower = SDict(List(add(v("p"), 1), v("p")), get(vN, add(mul(v("p"), 3), 2)))
     val tsm = compile(
       sum(gen("p")("_", rng(0, n)))(
-        add(diag, iff(SBin("<", v("p"), n - 1))(add(upper, lower)))))
+        add(diag, iff(SBin(BinOp.Lt, v("p"), n - 1))(add(upper, lower)))))
     Storage(name, "Band", Map(vN -> denseArr(vals)), tsm,
       Card.of(1.0, (n, false), (3.0, false)),
       Map(vN -> Card.vec(vals.length)), 3.0)
@@ -371,7 +371,7 @@ object Formats {
     val vN = s"${name}_val"
     val tsm = compile(
       sum(gen("d")("x", vN))(
-        SDict(List(SBin("evenbits", v("d"), 0), SBin("oddbits", v("d"), 0)), v("x"))))
+        SDict(List(SBin(BinOp.EvenBits, v("d"), 0), SBin(BinOp.OddBits, v("d"), 0)), v("x"))))
     Storage(name, "ZOrder", Map(vN -> denseArr(vals)), tsm,
       Card.of(1.0, (nPow2, true), (nPow2, true)),
       Map(vN -> Card.vec(vals.length)), nPow2.toDouble)

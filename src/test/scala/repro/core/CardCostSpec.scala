@@ -29,15 +29,15 @@ class CardCostSpec extends AnyFunSuite {
 
   test("Fig. 5 worked example: sum over a filter") {
     // card(sum(<i,v> in A) if (v==25) then {i -> i*3}) = 1000 * 0.02[1[s]]
-    val e = Sum(Sym("A"), IfThen(Bin("==", Vr(0), Num(25)),
-      Dict(Vr(1), Bin("*", Vr(1), Num(3)))))
+    val e = Sum(Sym("A"), IfThen(Bin(BinOp.Eq, Vr(0), Num(25)),
+      Dict(Vr(1), Bin(BinOp.Mul, Vr(1), Num(3)))))
     val (card, _) = cm.analyze(e)
     // 1000 iterations x selectivity 0.02 => ~20 expected entries
     assert(math.abs(card.count - 20.0) < 1e-6)
   }
 
   test("sum cost scales with collection size and iteration gamma") {
-    val body = Bin("*", Vr(0), Num(2))
+    val body = Bin(BinOp.Mul, Vr(0), Num(2))
     val (_, denseCost) = cm.analyze(Sum(Sym("M"), Sum(Vr(0), body)))
     val (_, smallCost) = cm.analyze(Sum(Sym("c"), Num(1)))
     assert(denseCost > smallCost * 100)
@@ -48,7 +48,7 @@ class CardCostSpec extends AnyFunSuite {
       "D" -> Card.of(1.0, (1000.0, true)),
       "H" -> Card.of(1.0, (1000.0, false))))
     val m = new CostModel(st)
-    val body = Bin("*", Vr(0), Num(2))
+    val body = Bin(BinOp.Mul, Vr(0), Num(2))
     assert(m.analyze(Sum(Sym("H"), body))._2 > m.analyze(Sum(Sym("D"), body))._2)
   }
 
@@ -101,7 +101,7 @@ class CardCostSpec extends AnyFunSuite {
 
   test("cost extraction picks the cheaper of two equal plans") {
     val eg = new EGraph
-    val slow = Sum(Sym("M"), Sum(Vr(0), Bin("*", Vr(0), Num(1))))
+    val slow = Sum(Sym("M"), Sum(Vr(0), Bin(BinOp.Mul, Vr(0), Num(1))))
     val root = eg.addExpr(slow)
     val fast = eg.addExpr(Num(42))
     eg.union(root, fast) // pretend they are equal
@@ -114,7 +114,7 @@ class CardCostSpec extends AnyFunSuite {
   test("extraction threads environments: iterating a bound row is costed") {
     val eg = new EGraph
     // sum(<i,row> in M) sum(<j,v> in row) v*2 — inner count must be 10, not 1
-    val e = Sum(Sym("M"), Sum(Vr(0), Bin("*", Vr(0), Num(2))))
+    val e = Sum(Sym("M"), Sum(Vr(0), Bin(BinOp.Mul, Vr(0), Num(2))))
     val root = eg.addExpr(e)
     val (_, cost) = cm.extract(eg, root)
     // 100 rows x 10 inner iterations => cost must reflect >= 1000 ops

@@ -71,9 +71,17 @@ class RulesSpec extends AnyFunSuite {
     }
   }
 
+  /** The literal `Fold` rewrites `witness` to in one iteration, if any. */
+  private def foldOnce(witness: Expr): Option[Double] = {
+    val eg = new EGraph
+    val root = eg.addExpr(witness)
+    Saturate.run(eg, Seq(rule("Fold")), SatConfig(maxIters = 1))
+    eg.classes(eg.find(root)).collectFirst { case ENode(Op.Num(d), _) => d }
+  }
+
   private def s(n: String) = Sym(n)
-  private def mul(a: Expr, b: Expr) = Bin("*", a, b)
-  private def addE(a: Expr, b: Expr) = Bin("+", a, b)
+  private def mul(a: Expr, b: Expr) = Bin(BinOp.Mul, a, b)
+  private def addE(a: Expr, b: Expr) = Bin(BinOp.Add, a, b)
 
   // ---- associativity / commutativity --------------------------------------
   test("A1l sound")(checkRule("A1l", mul(mul(s("c"), s("d")), Num(3))))
@@ -83,14 +91,14 @@ class RulesSpec extends AnyFunSuite {
   }
   test("C1 sound")(checkRule("C1", addE(s("c"), s("d"))))
   test("AAdd sound")(checkRule("AAdd", addE(addE(s("c"), s("d")), Num(3))))
-  test("C2 sound")(checkRule("C2", Bin("==", s("c"), s("d"))))
-  test("CAnd sound")(checkRule("CAnd", Bin("&&", Bin(">", s("c"), Num(0)), Bin(">", s("d"), Num(0)))))
+  test("C2 sound")(checkRule("C2", Bin(BinOp.Eq, s("c"), s("d"))))
+  test("CAnd sound")(checkRule("CAnd", Bin(BinOp.And, Bin(BinOp.Gt, s("c"), Num(0)), Bin(BinOp.Gt, s("d"), Num(0)))))
   test("A2l sound")(checkRule("A2l", Dict(Num(3), mul(s("c"), s("d")))))
   test("A2r sound")(checkRule("A2r", mul(Dict(Num(3), s("c")), s("d"))))
   test("A3l sound")(checkRule("A3l", Dict(Num(3), mul(s("c"), s("d")))))
   test("A3r sound")(checkRule("A3r", mul(s("c"), Dict(Num(3), s("d")))))
-  test("A4l sound")(checkRule("A4l", IfThen(Bin(">", s("c"), Num(0)), mul(s("c"), s("d")))))
-  test("A4r sound")(checkRule("A4r", mul(s("c"), IfThen(Bin(">", s("d"), Num(-5)), s("d")))))
+  test("A4l sound")(checkRule("A4l", IfThen(Bin(BinOp.Gt, s("c"), Num(0)), mul(s("c"), s("d")))))
+  test("A4r sound")(checkRule("A4r", mul(s("c"), IfThen(Bin(BinOp.Gt, s("d"), Num(-5)), s("d")))))
 
   // ---- algebraic simplifications ------------------------------------------
   test("L1a sound")(checkRule("L1a", addE(s("c"), Num(0))))
@@ -99,19 +107,33 @@ class RulesSpec extends AnyFunSuite {
   test("L2b sound")(checkRule("L2b", mul(Num(0), s("c"))))
   test("L3a sound")(checkRule("L3a", mul(s("c"), Num(1))))
   test("L3b sound")(checkRule("L3b", mul(Num(1), s("c"))))
-  test("L5 sound")(checkRule("L5", Bin("-", s("c"), Num(0))))
-  test("L6 sound")(checkRule("L6", Bin("-", s("c"), s("c"))))
-  test("EqRefl sound")(checkRule("EqRefl", Bin("==", s("c"), s("c"))))
+  test("L5 sound")(checkRule("L5", Bin(BinOp.Sub, s("c"), Num(0))))
+  test("L6 sound")(checkRule("L6", Bin(BinOp.Sub, s("c"), s("c"))))
+  test("EqRefl sound")(checkRule("EqRefl", Bin(BinOp.Eq, s("c"), s("c"))))
   test("IfT sound")(checkRule("IfT", IfThen(Num(2), s("c"))))
   test("IfF sound")(checkRule("IfF", IfThen(Num(0), s("c"))))
   test("Fold sound on +")(checkRule("Fold", addE(Num(2), Num(3))))
-  test("Fold sound on idiv")(checkRule("Fold", Bin("idiv", Num(7), Num(2))))
-  test("Fold sound on <")(checkRule("Fold", Bin("<", Num(2), Num(3))))
-  test("Fold skips division by zero")(checkRule("Fold", Bin("/", Num(2), Num(0)), expectFire = false))
+  test("Fold sound on idiv")(checkRule("Fold", Bin(BinOp.IDiv, Num(7), Num(2))))
+  test("Fold sound on <")(checkRule("Fold", Bin(BinOp.Lt, Num(2), Num(3))))
+  test("Fold skips division by zero")(checkRule("Fold", Bin(BinOp.Div, Num(2), Num(0)), expectFire = false))
+  test("Fold agrees with Interp on every operator") {
+    import BinOp._
+    val ops = Seq(Add, Sub, Mul, Div, Mod, IDiv, Eq, Lt, Le, Gt, Ge, And, Or, EvenBits, OddBits)
+    val pairs = Seq((7.0, 3.0), (-7.0, 2.0), (2.5, 0.0), (0.0, 0.0), (1.0, 1.0))
+    val folded = for {
+      op <- ops; (x, y) <- pairs
+      d <- foldOnce(Bin(op, Num(x), Num(y)))
+    } yield {
+      assert(d == Value.asNum(Interp.run(Bin(op, Num(x), Num(y)), Map.empty)), s"$x $op $y")
+      (op, x, y)
+    }
+    assert(folded.collect { case (op, 7.0, 3.0) => op } == ops, "every operator folds 7 op 3")
+    assert(!folded.exists { case (op, _, y) => op == Div && y == 0 }, "no division by zero")
+  }
   test("IfIf1 sound")(checkRule("IfIf1",
-    IfThen(Bin(">", s("c"), Num(0)), IfThen(Bin(">", s("d"), Num(-5)), s("c")))))
+    IfThen(Bin(BinOp.Gt, s("c"), Num(0)), IfThen(Bin(BinOp.Gt, s("d"), Num(-5)), s("c")))))
   test("IfIf2 sound")(checkRule("IfIf2",
-    IfThen(Bin("&&", Bin(">", s("c"), Num(0)), Bin(">", s("d"), Num(-5))), s("c"))))
+    IfThen(Bin(BinOp.And, Bin(BinOp.Gt, s("c"), Num(0)), Bin(BinOp.Gt, s("d"), Num(-5))), s("c"))))
 
   // ---- distributivity / factorization -------------------------------------
   test("D1l sound")(checkRule("D1l", addE(mul(s("c"), s("d")), mul(s("c"), Num(3)))))
@@ -131,38 +153,38 @@ class RulesSpec extends AnyFunSuite {
 
   // ---- fusion --------------------------------------------------------------
   test("F1 sound (key present)") {
-    checkRule("F1", Sum(s("H"), IfThen(Bin("==", Vr(1), Num(3)), mul(Vr(0), s("c")))))
+    checkRule("F1", Sum(s("H"), IfThen(Bin(BinOp.Eq, Vr(1), Num(3)), mul(Vr(0), s("c")))))
   }
   test("F1 sound (key absent — strictness saves it)") {
-    checkRule("F1", Sum(s("H"), IfThen(Bin("==", Vr(1), Num(2)), mul(Vr(0), s("c")))))
+    checkRule("F1", Sum(s("H"), IfThen(Bin(BinOp.Eq, Vr(1), Num(2)), mul(Vr(0), s("c")))))
   }
   test("F1 does not fire on non-strict body") {
-    checkRule("F1", Sum(s("H"), IfThen(Bin("==", Vr(1), Num(2)), Num(5))),
+    checkRule("F1", Sum(s("H"), IfThen(Bin(BinOp.Eq, Vr(1), Num(2)), Num(5))),
       expectFire = false)
   }
   test("F1r sound (in range)") {
     checkRule("F1r", Sum(Rng(Num(1), Num(4)),
-      IfThen(Bin("==", Vr(1), Num(2)), addE(Vr(0), s("c")))))
+      IfThen(Bin(BinOp.Eq, Vr(1), Num(2)), addE(Vr(0), s("c")))))
   }
   test("F1r sound (out of range — guard saves non-strict bodies)") {
     checkRule("F1r", Sum(Rng(Num(1), Num(4)),
-      IfThen(Bin("==", Vr(1), Num(9)), addE(Vr(0), s("c")))))
+      IfThen(Bin(BinOp.Eq, Vr(1), Num(9)), addE(Vr(0), s("c")))))
   }
   test("F1s sound (in range)") {
     checkRule("F1s", Sum(SubArr(s("V"), Num(1), Num(3)),
-      IfThen(Bin("==", Vr(1), Num(2)), addE(Vr(0), s("c")))))
+      IfThen(Bin(BinOp.Eq, Vr(1), Num(2)), addE(Vr(0), s("c")))))
   }
   test("F1s sound (out of range)") {
     checkRule("F1s", Sum(SubArr(s("V"), Num(1), Num(3)),
-      IfThen(Bin("==", Vr(1), Num(7)), addE(Vr(0), s("c")))))
+      IfThen(Bin(BinOp.Eq, Vr(1), Num(7)), addE(Vr(0), s("c")))))
   }
   test("T8 sound (lookup through conditional, both branches)") {
-    checkRule("T8", Get(IfThen(Bin(">", s("c"), Num(0)), s("H")), Num(3)))
-    checkRule("T8", Get(IfThen(Bin("<", s("c"), Num(0)), s("H")), Num(3)))
+    checkRule("T8", Get(IfThen(Bin(BinOp.Gt, s("c"), Num(0)), s("H")), Num(3)))
+    checkRule("T8", Get(IfThen(Bin(BinOp.Lt, s("c"), Num(0)), s("H")), Num(3)))
   }
   test("T9 sound (sum over conditional collection)") {
-    checkRule("T9", Sum(IfThen(Bin(">", s("c"), Num(0)), s("V")), mul(Vr(0), Num(2))))
-    checkRule("T9", Sum(IfThen(Bin("<", s("c"), Num(0)), s("V")), mul(Vr(0), Num(2))))
+    checkRule("T9", Sum(IfThen(Bin(BinOp.Gt, s("c"), Num(0)), s("V")), mul(Vr(0), Num(2))))
+    checkRule("T9", Sum(IfThen(Bin(BinOp.Lt, s("c"), Num(0)), s("V")), mul(Vr(0), Num(2))))
   }
   test("T7 sound (lookup distributes over sum)") {
     // (sum(<k,v> in V) {k+1 -> v*2})(3)
@@ -192,23 +214,23 @@ class RulesSpec extends AnyFunSuite {
   }
   test("U1 sound on colliding keys with linear body") {
     // keys k % 2 collide; body linear in v1
-    checkRule("U1", Sum(Sum(s("V"), Dict(Bin("%", Vr(1), Num(2)), Vr(0))),
+    checkRule("U1", Sum(Sum(s("V"), Dict(Bin(BinOp.Mod, Vr(1), Num(2)), Vr(0))),
       mul(Vr(0), s("c"))))
   }
   test("U1 does not fire on nonlinear body") {
-    checkRule("U1", Sum(Sum(s("V"), Dict(Bin("%", Vr(1), Num(2)), Vr(0))),
+    checkRule("U1", Sum(Sum(s("V"), Dict(Bin(BinOp.Mod, Vr(1), Num(2)), Vr(0))),
       mul(Vr(0), Vr(0))), expectFire = false)
   }
   test("F4 sound (sorted merge)") {
     val w = Sum(SubArr(s("I1"), Num(0), Num(3)),
       Sum(SubArr(s("I2"), Num(0), Num(4)),
-        IfThen(Bin("==", Vr(2), Vr(0)), mul(Vr(2), Num(2)))))
+        IfThen(Bin(BinOp.Eq, Vr(2), Vr(0)), mul(Vr(2), Num(2)))))
     checkRule("F4", w)
   }
   test("F4 body may use all bound variables") {
     val w = Sum(SubArr(s("I1"), Num(0), Num(3)),
       Sum(SubArr(s("I2"), Num(0), Num(4)),
-        IfThen(Bin("==", Vr(2), Vr(0)),
+        IfThen(Bin(BinOp.Eq, Vr(2), Vr(0)),
           addE(mul(Vr(3), Num(100)), addE(mul(Vr(1), Num(10)), Vr(0))))))
     checkRule("F4", w)
   }

@@ -11,13 +11,13 @@ class SugarSpec extends AnyFunSuite {
   }
 
   test("key variable is index 1, value index 0") {
-    val e = compile(sum(gen("k")("x", "A"))(SBin("*", v("k"), v("x"))))
-    assert(e == Sum(Sym("A"), Bin("*", Vr(1), Vr(0))))
+    val e = compile(sum(gen("k")("x", "A"))(SBin(BinOp.Mul, v("k"), v("x"))))
+    assert(e == Sum(Sym("A"), Bin(BinOp.Mul, Vr(1), Vr(0))))
   }
 
   test("unbound names become global symbols") {
-    val e = compile(SBin("+", v("beta"), 1))
-    assert(e == Bin("+", Sym("beta"), Num(1)))
+    val e = compile(SBin(BinOp.Add, v("beta"), 1))
+    assert(e == Bin(BinOp.Add, Sym("beta"), Num(1)))
   }
 
   test("multi-generator sum desugars to nested sums (Table 1)") {
@@ -40,7 +40,7 @@ class SugarSpec extends AnyFunSuite {
   test("repeated variable across generators becomes equality (Table 1)") {
     val e = compile(sum(gen("k")("a", "A"), gen("k")("b", "B"))(v("a")))
     e match {
-      case Sum(Sym("A"), Sum(Sym("B"), IfThen(Bin("==", Vr(1), Vr(3)), Vr(2)))) => ()
+      case Sum(Sym("A"), Sum(Sym("B"), IfThen(Bin(BinOp.Eq, Vr(1), Vr(3)), Vr(2)))) => ()
       case other => fail(s"unexpected: $other")
     }
   }
@@ -76,8 +76,8 @@ class SugarSpec extends AnyFunSuite {
   }
 
   test("multi-binding let desugars to nested lets (Table 1)") {
-    val e = compile(let("x" -> n(1), "y" -> n(2))(SBin("+", v("x"), v("y"))))
-    assert(e == Let(Num(1), Let(Num(2), Bin("+", Vr(1), Vr(0)))))
+    val e = compile(let("x" -> n(1), "y" -> n(2))(SBin(BinOp.Add, v("x"), v("y"))))
+    assert(e == Let(Num(1), Let(Num(2), Bin(BinOp.Add, Vr(1), Vr(0)))))
   }
 
   test("range and subarray compile") {

@@ -7,8 +7,8 @@ class EGraphSpec extends AnyFunSuite {
 
   test("hash-consing deduplicates identical nodes") {
     val eg = new EGraph
-    val a = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
-    val b = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
+    val a = eg.addExpr(Bin(BinOp.Mul, Sym("a"), Sym("b")))
+    val b = eg.addExpr(Bin(BinOp.Mul, Sym("a"), Sym("b")))
     assert(eg.find(a) == eg.find(b))
   }
 
@@ -48,7 +48,7 @@ class EGraphSpec extends AnyFunSuite {
 
   test("node and class counts track structure") {
     val eg = new EGraph
-    eg.addExpr(Bin("+", Sym("a"), Sym("b")))
+    eg.addExpr(Bin(BinOp.Add, Sym("a"), Sym("b")))
     assert(eg.nodeCount == 3)
     assert(eg.classCount == 3)
     assert(eg.memoCount == 3)
@@ -63,7 +63,7 @@ class EGraphSpec extends AnyFunSuite {
       (1 to 300).foreach { _ =>
         rnd.nextInt(10) match {
           case 0 | 1 | 2 | 3 if ids.nonEmpty =>
-            val op = Seq(Op.Bin("+"), Op.Bin("*"), Op.Get)(rnd.nextInt(3))
+            val op = Seq(Op.Bin(BinOp.Add), Op.Bin(BinOp.Mul), Op.Get)(rnd.nextInt(3))
             ids += eg.add(ENode(op, Vector(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))))
           case 4 | 5 if ids.size > 1 =>
             eg.union(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))
@@ -83,7 +83,7 @@ class EGraphSpec extends AnyFunSuite {
       phys <- Seq(Phys.PLog, Phys.PDense, Phys.PHash)
     } yield Dict(Num(1), Num(2), unique, phys)
     val exprs = Seq[Expr](
-      Num(3.5), Num(-0.0), Vr(2), Sym("x"), Bin("*", Num(1), Num(2)),
+      Num(3.5), Num(-0.0), Vr(2), Sym("x"), Bin(BinOp.Mul, Num(1), Num(2)),
       IfThen(Num(1), Num(2)), Let(Num(1), Vr(0)), Sum(Sym("A"), Vr(0)),
       Get(Sym("A"), Num(1)), Rng(Num(0), Num(5)),
       SubArr(Sym("A"), Num(0), Num(2)), Merge(Sym("A"), Sym("B"), Vr(0))) ++ dicts
@@ -97,45 +97,49 @@ class EGraphSpec extends AnyFunSuite {
     assert(ops.collect { case d: Op.Dict => d }.distinct.size == 6)
     assert(Seq(Op.Let, Op.Sum, Op.Merge).map(op => (0 until op.arity).map(op.binds)) ==
       Seq(Seq(0, 1), Seq(0, 2), Seq(0, 0, 3)))
+    // operators print and hash as their symbols, the same in every run
+    assert(BinOp.Mul.toString == "*" && BinOp.Mul.hashCode == "*".hashCode)
     // literals compare by bit pattern, as their printed forms did
     val eg = new EGraph
     assert(eg.addExpr(Num(0.0)) != eg.addExpr(Num(-0.0)))
     assert(eg.addExpr(Num(Double.NaN)) == eg.addExpr(Num(0.0 / 0.0)))
-    assert(eg.addExpr(Bin("+", Num(Double.NaN), Num(-0.0))) ==
-      eg.addExpr(Bin("+", Num(Double.NaN), Num(-0.0))))
+    assert(eg.addExpr(Bin(BinOp.Add, Num(Double.NaN), Num(-0.0))) ==
+      eg.addExpr(Bin(BinOp.Add, Num(Double.NaN), Num(-0.0))))
   }
+
+  private def smallest(eg: EGraph, cls: Int): Expr = Extract.reprTable(eg)(eg.find(cls))
 
   test("addExpr then extract smallest returns an equivalent term") {
     val eg = new EGraph
-    val e = Sum(Sym("A"), Dict(Vr(1), Bin("*", Vr(0), Num(2))))
+    val e = Sum(Sym("A"), Dict(Vr(1), Bin(BinOp.Mul, Vr(0), Num(2))))
     val root = eg.addExpr(e)
-    assert(Extract.smallest(eg, root) == e)
+    assert(smallest(eg, root) == e)
   }
 
   test("extraction prefers the smaller representative after union") {
     val eg = new EGraph
-    val big = eg.addExpr(Bin("+", Bin("*", Sym("a"), Num(1)), Num(0)))
+    val big = eg.addExpr(Bin(BinOp.Add, Bin(BinOp.Mul, Sym("a"), Num(1)), Num(0)))
     val small = eg.addExpr(Sym("a"))
     eg.union(big, small)
     eg.rebuild()
-    assert(Extract.smallest(eg, big) == Sym("a"))
+    assert(smallest(eg, big) == Sym("a"))
   }
 
   test("pattern matching binds metavariables") {
     val eg = new EGraph
-    val root = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
-    val ms = Matcher.matches(eg, PNode(Op.Bin("*"), Vector(PVar("x"), PVar("y"))), root)
+    val root = eg.addExpr(Bin(BinOp.Mul, Sym("a"), Sym("b")))
+    val ms = Matcher.matches(eg, PNode(Op.Bin(BinOp.Mul), Vector(PVar("x"), PVar("y"))), root)
     assert(ms.size == 1)
-    assert(Extract.smallest(eg, ms.head("x")) == Sym("a"))
-    assert(Extract.smallest(eg, ms.head("y")) == Sym("b"))
+    assert(smallest(eg, ms.head("x")) == Sym("a"))
+    assert(smallest(eg, ms.head("y")) == Sym("b"))
   }
 
   test("pattern with repeated metavariable requires equality") {
     val eg = new EGraph
-    val ab = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
-    assert(Matcher.matches(eg, PNode(Op.Bin("*"), Vector(PVar("x"), PVar("x"))), ab).isEmpty)
-    val aa = eg.addExpr(Bin("*", Sym("a"), Sym("a")))
-    assert(Matcher.matches(eg, PNode(Op.Bin("*"), Vector(PVar("x"), PVar("x"))), aa).size == 1)
+    val ab = eg.addExpr(Bin(BinOp.Mul, Sym("a"), Sym("b")))
+    assert(Matcher.matches(eg, PNode(Op.Bin(BinOp.Mul), Vector(PVar("x"), PVar("x"))), ab).isEmpty)
+    val aa = eg.addExpr(Bin(BinOp.Mul, Sym("a"), Sym("a")))
+    assert(Matcher.matches(eg, PNode(Op.Bin(BinOp.Mul), Vector(PVar("x"), PVar("x"))), aa).size == 1)
   }
 
   test("POpVar captures the op") {
@@ -149,34 +153,34 @@ class EGraphSpec extends AnyFunSuite {
 
   test("matches across merged classes") {
     val eg = new EGraph
-    val root = eg.addExpr(Bin("+", Sym("x"), Num(0)))
+    val root = eg.addExpr(Bin(BinOp.Add, Sym("x"), Num(0)))
     // unify x with a product; the + node should now match a (a*b)+0 pattern
-    val prod = eg.addExpr(Bin("*", Sym("a"), Sym("b")))
+    val prod = eg.addExpr(Bin(BinOp.Mul, Sym("a"), Sym("b")))
     eg.union(eg.addExpr(Sym("x")), prod)
     eg.rebuild()
-    val pat = PNode(Op.Bin("+"), Vector(PNode(Op.Bin("*"), Vector(PVar("p"), PVar("q"))), PVar("z")))
+    val pat = PNode(Op.Bin(BinOp.Add), Vector(PNode(Op.Bin(BinOp.Mul), Vector(PVar("p"), PVar("q"))), PVar("z")))
     assert(Matcher.matches(eg, pat, root).nonEmpty)
   }
 
   test("saturation applies a simple rule and stops") {
     val eg = new EGraph
-    val root = eg.addExpr(Bin("+", Sym("a"), Num(0)))
-    val rule = Rule.simple("L1", PNode(Op.Bin("+"), Vector(PVar("a"), PNode(Op.Num(0.0), Vector.empty))), RVar("a"))
+    val root = eg.addExpr(Bin(BinOp.Add, Sym("a"), Num(0)))
+    val rule = Rule.simple("L1", PNode(Op.Bin(BinOp.Add), Vector(PVar("a"), PNode(Op.Num(0.0), Vector.empty))), RVar("a"))
     val stats = Saturate.run(eg, Seq(rule), SatConfig(maxIters = 10))
     assert(stats.saturated && stats.stop == RunStats.Saturated)
-    assert(Extract.smallest(eg, root) == Sym("a"))
+    assert(smallest(eg, root) == Sym("a"))
   }
 
   test("saturation respects the node limit") {
     val eg = new EGraph
     // AC closure over an 8-term chain wants hundreds of classes
-    val chain = (1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin("+", _, _))
+    val chain = (1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin(BinOp.Add, _, _))
     val root = eg.addExpr(chain)
-    val comm = Rule.simple("C1", PNode(Op.Bin("+"), Vector(PVar("x"), PVar("y"))),
-      RNode(Op.Bin("+"), RVar("y"), RVar("x")))
+    val comm = Rule.simple("C1", PNode(Op.Bin(BinOp.Add), Vector(PVar("x"), PVar("y"))),
+      RNode(Op.Bin(BinOp.Add), RVar("y"), RVar("x")))
     val assoc = Rule.simple("AAdd",
-      PNode(Op.Bin("+"), Vector(PNode(Op.Bin("+"), Vector(PVar("x"), PVar("y"))), PVar("z"))),
-      RNode(Op.Bin("+"), RVar("x"), RNode(Op.Bin("+"), RVar("y"), RVar("z"))))
+      PNode(Op.Bin(BinOp.Add), Vector(PNode(Op.Bin(BinOp.Add), Vector(PVar("x"), PVar("y"))), PVar("z"))),
+      RNode(Op.Bin(BinOp.Add), RVar("x"), RNode(Op.Bin(BinOp.Add), RVar("y"), RVar("z"))))
     val stats = Saturate.run(eg, Seq(comm, assoc), SatConfig(maxIters = 50, maxNodes = 60))
     assert(!stats.saturated && stats.stop == RunStats.NodeCap)
     assert(stats.nodes == eg.nodeCount && eg.nodeCount >= 60)
@@ -185,16 +189,16 @@ class EGraphSpec extends AnyFunSuite {
 
   test("saturation reports the iteration cap as its stop reason") {
     val eg = new EGraph
-    eg.addExpr((1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin("+", _, _)))
-    val comm = Rule.simple("C1", PNode(Op.Bin("+"), Vector(PVar("x"), PVar("y"))),
-      RNode(Op.Bin("+"), RVar("y"), RVar("x")))
+    eg.addExpr((1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin(BinOp.Add, _, _)))
+    val comm = Rule.simple("C1", PNode(Op.Bin(BinOp.Add), Vector(PVar("x"), PVar("y"))),
+      RNode(Op.Bin(BinOp.Add), RVar("y"), RVar("x")))
     val stats = Saturate.run(eg, Seq(comm), SatConfig(maxIters = 1))
     assert(stats.iters == 1 && !stats.saturated && stats.stop == RunStats.IterCap)
   }
 
   test("RunStats aggregate with +") {
-    val a = RunStats(10, 2, 100, 50, 120, saturated = true)
-    val b = RunStats(5, 3, 80, 60, 90, saturated = false, stop = RunStats.NodeCap)
+    val a = RunStats(10, 2, 100, 50, 120)
+    val b = RunStats(5, 3, 80, 60, 90, stop = RunStats.NodeCap)
     val c = a + b
     assert(c.timeMs == 15 && c.iters == 5 && c.nodes == 100 && c.classes == 60)
     assert(c.memos == 210 && !c.saturated && c.stop == RunStats.NodeCap)

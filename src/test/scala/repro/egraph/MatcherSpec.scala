@@ -112,7 +112,7 @@ class MatcherSpec extends AnyFunSuite {
 
   test("a pattern whose root is a metavariable matches every class once") {
     val eg = new EGraph
-    eg.addExpr(Bin("+", Sym("a"), Num(0)))
+    eg.addExpr(Bin(BinOp.Add, Sym("a"), Num(0)))
     val prog = Program.compile(PVar("x"))
     val ids = eg.classIds
     val got = new RootIndex(eg, ids).candidates(prog).flatMap(c => Matcher.matches(eg, PVar("x"), c))
@@ -122,10 +122,10 @@ class MatcherSpec extends AnyFunSuite {
   test("a repeated op variable requires the same op") {
     val eg = new EGraph
     val pred: Op => Boolean = _.isInstanceOf[Op.Dict]
-    val pat = PNode(Op.Bin("+"), Vector(POpVar("d", pred, Vector(PVar("k"), PVar("a"))),
+    val pat = PNode(Op.Bin(BinOp.Add), Vector(POpVar("d", pred, Vector(PVar("k"), PVar("a"))),
       POpVar("d", pred, Vector(PVar("k"), PVar("b")))))
-    val same = eg.addExpr(Bin("+", Dict(Sym("k"), Num(1)), Dict(Sym("k"), Num(2))))
-    val mixed = eg.addExpr(Bin("+", Dict(Sym("k"), Num(1)),
+    val same = eg.addExpr(Bin(BinOp.Add, Dict(Sym("k"), Num(1)), Dict(Sym("k"), Num(2))))
+    val mixed = eg.addExpr(Bin(BinOp.Add, Dict(Sym("k"), Num(1)),
       Dict(Sym("k"), Num(2), unique = true, Phys.PLog)))
     assert(Matcher.matches(eg, pat, same).map(_.op("d")) == Seq(Op.Dict(unique = false, Phys.PLog)))
     assert(Matcher.matches(eg, pat, mixed).isEmpty)

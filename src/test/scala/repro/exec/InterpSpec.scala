@@ -17,25 +17,29 @@ class InterpSpec extends AnyFunSuite {
     new VHashN(LongMap.from(kvs))
 
   test("scalar arithmetic") {
-    assert(num(run(SBin("+", 2, 3))) == 5.0)
-    assert(num(run(SBin("*", 2, 3))) == 6.0)
-    assert(num(run(SBin("-", 2, 3))) == -1.0)
-    assert(num(run(SBin("/", 6, 3))) == 2.0)
-    assert(num(run(SBin("%", 7, 3))) == 1.0)
-    assert(num(run(SBin("idiv", 7, 2))) == 3.0)
+    assert(num(run(SBin(BinOp.Add, 2, 3))) == 5.0)
+    assert(num(run(SBin(BinOp.Mul, 2, 3))) == 6.0)
+    assert(num(run(SBin(BinOp.Sub, 2, 3))) == -1.0)
+    assert(num(run(SBin(BinOp.Div, 6, 3))) == 2.0)
+    assert(num(run(SBin(BinOp.Mod, 7, 3))) == 1.0)
+    assert(num(run(SBin(BinOp.IDiv, 7, 2))) == 3.0)
+    // dictionaries subtract pointwise; entries that cancel are dropped
+    val diff = run(SBin(BinOp.Sub, "V", "W"),
+      "V" -> denseVec(3, 0, 5), "W" -> hashVec(0L -> 1.0, 2L -> 5.0, 3L -> 2.0))
+    assert(Value.deepEq(diff, hashVec(0L -> 2.0, 3L -> -2.0)), Value.toCoo(diff))
   }
 
   test("comparisons return 0/1") {
-    assert(num(run(SBin("==", 2, 2))) == 1.0)
-    assert(num(run(SBin("==", 2, 3))) == 0.0)
-    assert(num(run(SBin("<", 2, 3))) == 1.0)
-    assert(num(run(SBin(">=", 2, 3))) == 0.0)
+    assert(num(run(SBin(BinOp.Eq, 2, 2))) == 1.0)
+    assert(num(run(SBin(BinOp.Eq, 2, 3))) == 0.0)
+    assert(num(run(SBin(BinOp.Lt, 2, 3))) == 1.0)
+    assert(num(run(SBin(BinOp.Ge, 2, 3))) == 0.0)
   }
 
   test("logicals short-circuit") {
-    assert(num(run(SBin("&&", 1, 1))) == 1.0)
-    assert(num(run(SBin("&&", 0, 1))) == 0.0)
-    assert(num(run(SBin("||", 0, 1))) == 1.0)
+    assert(num(run(SBin(BinOp.And, 1, 1))) == 1.0)
+    assert(num(run(SBin(BinOp.And, 0, 1))) == 0.0)
+    assert(num(run(SBin(BinOp.Or, 0, 1))) == 1.0)
   }
 
   test("evenbits/oddbits invert bit interleaving") {
@@ -46,17 +50,17 @@ class InterpSpec extends AnyFunSuite {
       d |= ((i >> b) & 1) << (2 * b)
       d |= ((j >> b) & 1) << (2 * b + 1)
     }
-    assert(num(run(SBin("evenbits", d.toDouble, 0))) == i.toDouble)
-    assert(num(run(SBin("oddbits", d.toDouble, 0))) == j.toDouble)
+    assert(num(run(SBin(BinOp.EvenBits, d.toDouble, 0))) == i.toDouble)
+    assert(num(run(SBin(BinOp.OddBits, d.toDouble, 0))) == j.toDouble)
   }
 
   test("if returns zero on false") {
-    assert(run(iff(SBin("==", 1, 2))(5)) == VZero)
-    assert(num(run(iff(SBin("==", 2, 2))(5))) == 5.0)
+    assert(run(iff(SBin(BinOp.Eq, 1, 2))(5)) == VZero)
+    assert(num(run(iff(SBin(BinOp.Eq, 2, 2))(5))) == 5.0)
   }
 
   test("let binds") {
-    assert(num(run(let("x" -> 3)(SBin("*", v("x"), v("x"))))) == 9.0)
+    assert(num(run(let("x" -> 3)(SBin(BinOp.Mul, v("x"), v("x"))))) == 9.0)
   }
 
   test("range is the identity dictionary") {
@@ -82,7 +86,7 @@ class InterpSpec extends AnyFunSuite {
 
   test("dict construction groups by key (semiring addition)") {
     // sum over [10, 20, 30] emitting {i % 2 -> x}
-    val e = sum(gen("i")("x", "V"))(dict(SBin("%", v("i"), 2))(v("x")))
+    val e = sum(gen("i")("x", "V"))(dict(SBin(BinOp.Mod, v("i"), 2))(v("x")))
     val r = run(e, "V" -> denseVec(10, 20, 30))
     val d = Value.asDict(r)
     assert(num(d.get(0)) == 40.0)
@@ -104,7 +108,7 @@ class InterpSpec extends AnyFunSuite {
   }
 
   test("filtering query from Sec. 2 (remove negatives, times 5)") {
-    val e = sum(gen("i")("x", "V"))(iff(SBin(">", v("x"), 0))(
+    val e = sum(gen("i")("x", "V"))(iff(SBin(BinOp.Gt, v("x"), 0))(
       dict(v("i"))(mul(5, v("x")))))
     val d = Value.asDict(run(e, "V" -> denseVec(1, -2, 3)))
     assert(num(d.get(0)) == 5.0)
@@ -162,7 +166,7 @@ class InterpSpec extends AnyFunSuite {
   test("merge binds positions k1, k2") {
     // sum of position products for matches: (1,1)->3 and (2,2)->5
     val core = Merge(Sym("L"), Sym("R"),
-      Bin("+", Bin("*", Vr(2), Num(10)), Vr(1)))
+      Bin(BinOp.Add, Bin(BinOp.Mul, Vr(2), Num(10)), Vr(1)))
     val r = Interp.run(core, Map(
       "L" -> new VDenseL(Array(1L, 3L, 5L)),
       "R" -> new VDenseL(Array(2L, 3L, 5L, 9L))))
