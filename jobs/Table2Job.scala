@@ -6,7 +6,7 @@ import repro.meas.Table2
 /** spark-submit entrypoint reproducing Table 2 (dataset summary). */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("storel-table2")
       .config("spark.ui.enabled", "false")

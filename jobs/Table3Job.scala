@@ -7,7 +7,7 @@ import repro.meas.Table3
   * kernel per system, with runtimes). */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("storel-table3")
       .config("spark.ui.enabled", "false")

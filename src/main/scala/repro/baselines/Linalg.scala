@@ -58,8 +58,6 @@ object Linalg {
     }
 
     def sumAll: Double = { var s = 0.0; var i = 0; while (i < a.length) { s += a(i); i += 1 }; s }
-    def scale(f: Double): DenseMat =
-      new DenseMat(rows, cols, a.map(_ * f))
   }
 
   object DenseMat {

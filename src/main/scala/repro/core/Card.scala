@@ -63,10 +63,5 @@ final case class Stats(
     denseWidth: Double = 256.0) {
 
   def card(sym: String): Card = symCards.getOrElse(sym, Card.scalar)
-  def ++(other: Stats): Stats = copy(symCards = symCards ++ other.symCards)
   def withSegment(s: Double): Stats = copy(defaultSegment = s)
-}
-
-object Stats {
-  val empty: Stats = Stats(Map.empty)
 }

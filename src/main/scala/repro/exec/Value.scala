@@ -27,8 +27,6 @@ sealed trait VDict extends Value {
   /** Iterate entries in key-iteration order. Dense representations
     * visit every slot incl. zeros; sparse ones only non-zeros. */
   def foreachEntry(f: (Long, Value) => Unit): Unit
-  /** Number of entries visited by iteration (dense counts all slots). */
-  def iterSize: Long
 }
 
 /** Dense numeric vector (also the physical `ARRAY` of the TSM layer). */
@@ -40,7 +38,6 @@ final class VDenseN(val a: Array[Double]) extends VDict {
     var i = 0
     while (i < a.length) { f(i.toLong, if (a(i) == 0) VZero else VNum(a(i))); i += 1 }
   }
-  def iterSize: Long = a.length.toLong
   override def toString = s"VDenseN(${a.take(8).mkString(",")}${if (a.length > 8) ",…" else ""})"
 }
 
@@ -52,7 +49,6 @@ final class VDenseL(val a: Array[Long]) extends VDict {
     var i = 0
     while (i < a.length) { f(i.toLong, VNum(a(i).toDouble)); i += 1 }
   }
-  def iterSize: Long = a.length.toLong
 }
 
 /** Dense vector of nested values (a materialized `@dense` dictionary). */
@@ -64,7 +60,6 @@ final class VDenseV(val a: Array[Value]) extends VDict {
     var i = 0
     while (i < a.length) { val v = a(i); f(i.toLong, if (v == null) VZero else v); i += 1 }
   }
-  def iterSize: Long = a.length.toLong
 }
 
 /** Hash map with numeric values (`@hash`, HASHMAP, DOK). */
@@ -74,21 +69,18 @@ final class VHashN(val m: LongMap[Double]) extends VDict {
   }
   def foreachEntry(f: (Long, Value) => Unit): Unit =
     m.foreachEntry((k, d) => f(k, VNum(d)))
-  def iterSize: Long = m.size.toLong
 }
 
 /** Hash map with nested values (tries are nested [[VHashN]]/[[VHashV]]). */
 final class VHashV(val m: LongMap[Value]) extends VDict {
   def get(k: Long): Value = m.getOrElse(k, VZero)
   def foreachEntry(f: (Long, Value) => Unit): Unit = m.foreachEntry(f)
-  def iterSize: Long = m.size.toLong
 }
 
 /** Singleton dictionary `{k -> v}` evaluated outside a summation. */
 final case class VSingle(k: Long, v: Value) extends VDict {
   def get(key: Long): Value = if (key == k) v else VZero
   def foreachEntry(f: (Long, Value) => Unit): Unit = f(k, v)
-  def iterSize: Long = 1L
 }
 
 /** Range dictionary `lo:hi = {i -> i}`. */
@@ -98,7 +90,6 @@ final case class VRng(lo: Long, hi: Long) extends VDict {
     var i = lo
     while (i < hi) { f(i, VNum(i.toDouble)); i += 1 }
   }
-  def iterSize: Long = math.max(0L, hi - lo)
 }
 
 /** Sub-array view `base(lo:hi)` — how CSR/CSF segments are iterated. */
@@ -118,7 +109,6 @@ final class VView(val base: VDict, val lo: Long, val hi: Long) extends VDict {
         while (i < hi) { f(i, base.get(i)); i += 1 }
     }
   }
-  def iterSize: Long = math.max(0L, hi - lo)
 }
 
 object Value {
@@ -146,7 +136,6 @@ object Value {
   object EmptyDict extends VDict {
     def get(k: Long): Value = VZero
     def foreachEntry(f: (Long, Value) => Unit): Unit = ()
-    def iterSize: Long = 0L
   }
 
   /** Pointwise addition (dictionaries form a semiring, Sec. 2). */

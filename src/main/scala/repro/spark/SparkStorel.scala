@@ -3,10 +3,9 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.core.Sugar.{compile, gen, rng, sub, v, add, SDict, intLit, dblLit}
 import repro.exec._
 import repro.kernels.Kernels
-import repro.storage.Storage
+import repro.storage.{Formats, Storage}
 
 /** Distributed STOREL execution: the reproduction hint's "per-partition
   * tensor storage format chosen at executor level".
@@ -21,19 +20,18 @@ import repro.storage.Storage
   */
 object SparkStorel {
 
-  /** Symbolic CSR storage mapping (no literal dims, no materialized
-    * symbols — those exist only inside each partition). */
-  private def symbolicCsr(avgSeg: Double, rows: Double): Storage = {
-    // qualify Sugar.sum/Sugar.get — they collide with spark.sql.functions
-    val tsm = compile(
-      Sugar.sum(gen("row")("_", rng(0, v("A_nrows"))))(
-        SDict(List(v("row")),
-          Sugar.sum(gen("off")("col",
-            sub(v("A_idx2"), Sugar.get(v("A_pos2"), v("row")),
-              Sugar.get(v("A_pos2"), add(v("row"), 1)))))(
-            SDict(List(v("col")), Sugar.get(v("A_val"), v("off")), unique = List(true))),
-          unique = List(true))))
-    Storage("A", "CSR", Map.empty, tsm,
+  /** The CSR storage of the per-partition rows of A, bounded by the
+    * scalar symbol `A_nrows` instead of a literal row count. */
+  private def partitionCsr(rows: Array[Long], cols: Array[Long], vals: Array[Double],
+                           nrows: Int): Storage =
+    Formats.compressedLevels("A", "CSR", Seq(rows, cols), vals,
+      Some(Formats.DenseTop(nrows, Some("A_nrows"))))
+
+  /** Symbolic CSR storage mapping: the partitions' TSM with estimated
+    * cards and no materialized symbols (those exist only inside each
+    * partition). */
+  private def symbolicCsr(avgSeg: Double, rows: Double): Storage =
+    Storage("A", "CSR", Map.empty, partitionCsr(Array.empty, Array.empty, Array.empty, 0).tsm,
       Card.of(1.0, (rows, true), (avgSeg, false)),
       Map(
         "A_nrows" -> Card.scalar,
@@ -41,7 +39,6 @@ object SparkStorel {
         "A_idx2" -> Card.vec(rows * avgSeg),
         "A_val" -> Card.vec(rows * avgSeg)),
       avgSeg)
-  }
 
   private def symbolicVec(n: Double): Storage =
     Storage("X", "Dense", Map.empty, Sym("X_V"), Card.vec(n),
@@ -76,23 +73,10 @@ object SparkStorel {
           // re-indexed rows (BATAX sums over i, so local ids are fine)
           val rowIds = entries.map(_._1).distinct.sorted
           val rowOf = rowIds.zipWithIndex.toMap
-          val nr = rowIds.length
-          val pos = new Array[Long](nr + 1)
-          entries.foreach { case (i, _, _) => pos(rowOf(i) + 1) += 1 }
-          var r = 0
-          while (r < nr) { pos(r + 1) += pos(r); r += 1 }
-          val cur = pos.clone()
-          val idx = new Array[Long](entries.length)
-          val vs = new Array[Double](entries.length)
-          entries.foreach { case (i, j, v) =>
-            val p = cur(rowOf(i)).toInt
-            idx(p) = j; vs(p) = v; cur(rowOf(i)) += 1
-          }
-          val symtab = Map[String, Value](
-            "A_nrows" -> VNum(nr.toDouble),
-            "A_pos2" -> new VDenseL(pos),
-            "A_idx2" -> new VDenseL(idx),
-            "A_val" -> new VDenseN(vs),
+          val local = entries.map { case (i, j, v) => (rowOf(i).toLong, j, v) }
+            .sortBy(e => (e._1, e._2))
+          val csr = partitionCsr(local.map(_._1), local.map(_._2), local.map(_._3), rowIds.length)
+          val symtab = csr.symbols ++ Map[String, Value](
             "X_V" -> new VDenseN(bx.value),
             "beta" -> VNum(beta))
           val result = Interp.run(bPlan.value, symtab)

@@ -39,11 +39,6 @@ object CooMat {
     }
     CooMat(m, n, buf.result().sortBy(e => (e._1, e._2)))
   }
-
-  def dense(m: Int, n: Int, seed: Long): CooMat = {
-    val rnd = new scala.util.Random(seed)
-    CooMat(m, n, Array.tabulate(m * n)(p => (p / n, p % n, rnd.nextDouble() * 2 - 1)))
-  }
 }
 
 /** Driver-side rank-3 sparse tensor, entries sorted lexicographically. */
@@ -125,94 +120,108 @@ object Formats {
       mat.n.toDouble)
   }
 
+  /** The dense top level of a [[Formats.compressedLevels]] storage: keys
+    * `0:n`, bounded in the TSM by the scalar symbol `sym` if given (its
+    * value `n` is then stored too), else by the literal `n`. */
+  private[repro] final case class DenseTop(n: Int, sym: Option[String] = None)
+
+  /** A stack of compressed levels over a `val` array — CSR, DCSR and CSF
+    * are all this level format (Chou et al., OOPSLA 2018). `keys(l)(e)`
+    * is entry `e`'s level-`l` key; entries are sorted and distinct. With
+    * a `top`, level 1 is dense, `sum(<k,_> in 0:n) {@unique k -> ...}`,
+    * and its key is its position. Every other level `l` stores
+    * `<name>_pos<l>`/`<name>_idx<l>`, read at parent position `q` (a
+    * literal 0 at the top) as `sum(<p,k> in idx_l(pos_l(q):pos_l(q+1)))
+    * {@unique k -> ...}`; the innermost body is `<name>_val(p)`. Cards:
+    * each array its length; a dense level `(n, dense)`; a compressed
+    * level `max(1, entries_l / entries_(l-1))` hashed; the average
+    * segment is the largest level card below the top. */
+  private[repro] def compressedLevels(name: String, fmt: String, keys: Seq[Array[Long]],
+                                      vals: Array[Double], top: Option[DenseTop]): Storage = {
+    val symbols = Map.newBuilder[String, Value]
+    val symCards = Map.newBuilder[String, Card]
+    def put(sym: String, value: Value, card: Card): Unit = {
+      symbols += sym -> value; symCards += sym -> card
+    }
+    val levels = List.newBuilder[(Double, Boolean)]
+    val nnz = vals.length
+    // node position of each entry at the level above, and how many there are
+    var parent = top.fold(new Array[Int](nnz))(_ => keys.head.map(_.toInt))
+    var parents = top.fold(1)(_.n)
+    top.foreach { t =>
+      levels += ((t.n.toDouble, true))
+      t.sym.foreach(put(_, VNum(t.n.toDouble), Card.scalar))
+    }
+    for (l <- (if (top.isEmpty) 0 else 1) until keys.length) {
+      val key = keys(l)
+      val node = new Array[Int](nnz)
+      val pos = new Array[Long](parents + 1)
+      val idx = Array.newBuilder[Long]
+      var nodes = 0
+      for (e <- 0 until nnz) {
+        val sameParent = e > 0 && parent(e) == parent(e - 1)
+        require(e == 0 || parent(e) > parent(e - 1) || (sameParent && key(e) >= key(e - 1)),
+          s"$fmt $name: coordinates must be sorted")
+        if (!sameParent || key(e) != key(e - 1)) { idx += key(e); pos(parent(e) + 1) += 1; nodes += 1 }
+        node(e) = nodes - 1
+      }
+      for (q <- 0 until parents) pos(q + 1) += pos(q)
+      val idxA = idx.result()
+      put(s"${name}_pos${l + 1}", longArr(pos), Card.vec(pos.length))
+      put(s"${name}_idx${l + 1}", longArr(idxA), Card.vec(idxA.length))
+      levels += ((math.max(1.0, if (parents == 0) 0.0 else nodes.toDouble / parents), false))
+      parent = node; parents = nodes
+    }
+    require(parents == nnz, s"$fmt $name: coordinates must be distinct")
+    val vN = s"${name}_val"
+    put(vN, denseArr(vals), Card.vec(nnz))
+
+    // `q` names the parent position; None is the literal 0 at the top.
+    def level(l: Int, q: Option[String]): S =
+      if (l == keys.length) get(vN, v(q.get))
+      else {
+        val (p, k) = (s"p$l", s"k$l")
+        top match {
+          case Some(t) if l == 0 =>
+            sum(gen(k)("_", rng(0, t.sym.fold(intLit(t.n))(v))))(
+              SDict(List(v(k)), level(1, Some(k)), unique = List(true)))
+          case _ =>
+            val (pN, iN) = (s"${name}_pos${l + 1}", s"${name}_idx${l + 1}")
+            val (lo, hi) = q.fold((intLit(0), intLit(1)))(q => (v(q), add(v(q), 1)))
+            sum(gen(p)(k, sub(iN, get(pN, lo), get(pN, hi))))(
+              SDict(List(v(k)), level(l + 1, Some(p)), unique = List(true)))
+        }
+      }
+
+    val ls = levels.result()
+    Storage(name, fmt, symbols.result(), compile(level(0, None)), Card.of(1.0, ls: _*),
+      symCards.result(), ls.drop(1).map(_._1).foldLeft(1.0)(math.max))
+  }
+
+  private def matLevels(name: String, fmt: String, mat: CooMat, top: Option[DenseTop]) =
+    compressedLevels(name, fmt, Seq(mat.entries.map(_._1.toLong), mat.entries.map(_._2.toLong)),
+      mat.entries.map(_._3), top)
+
   /** CSR (Fig. 1(b,c), with the @unique annotations of Sec. 5.2). */
-  def csr(name: String, mat: CooMat): Storage = sparseRows(name, "CSR", mat)
+  def csr(name: String, mat: CooMat): Storage = matLevels(name, "CSR", mat, Some(DenseTop(mat.m)))
 
   /** CSC = CSR of the transpose, exposed as the *same* logical (i,j)
     * tensor: `sum(<col,_> in 0:N) sum(<off,row> in idx2(...))
     * { (row, col) -> val(off) }` — rows repeat, so no outer @unique. */
   def csc(name: String, mat: CooMat): Storage = {
-    val t = mat.transpose
-    val (pos2, idx2, vals) = crsArrays(t)
     val (pN, iN, vN) = (s"${name}_pos2", s"${name}_idx2", s"${name}_val")
     val tsm = compile(
-      sum(gen("col")("_", rng(0, t.m)))(
+      sum(gen("col")("_", rng(0, mat.n)))(
         sum(gen("off")("row", sub(iN, get(pN, v("col")), get(pN, add(v("col"), 1)))))(
           SDict(List(v("row"), v("col")), get(vN, v("off")),
             unique = List(true, false)))))
-    val seg = if (t.m == 0) 0.0 else mat.nnz.toDouble / t.m
-    Storage(name, "CSC",
-      Map(pN -> longArr(pos2), iN -> longArr(idx2), vN -> denseArr(vals)), tsm,
-      Card.of(1.0, (mat.m, false), (math.max(1.0, mat.nnz.toDouble / math.max(1, mat.m)), false)),
-      Map(pN -> Card.vec(pos2.length), iN -> Card.vec(idx2.length), vN -> Card.vec(vals.length)),
-      math.max(1.0, seg))
-  }
-
-  private def crsArrays(mat: CooMat): (Array[Long], Array[Long], Array[Double]) = {
-    val pos2 = new Array[Long](mat.m + 1)
-    val idx2 = new Array[Long](mat.nnz)
-    val vals = new Array[Double](mat.nnz)
-    mat.entries.foreach { case (i, _, _) => pos2(i + 1) += 1 }
-    var i = 0
-    while (i < mat.m) { pos2(i + 1) += pos2(i); i += 1 }
-    val cur = pos2.clone()
-    mat.entries.foreach { case (i, j, v) =>
-      val p = cur(i).toInt; idx2(p) = j.toLong; vals(p) = v; cur(i) += 1
-    }
-    (pos2, idx2, vals)
-  }
-
-  private def sparseRows(name: String, fmt: String, mat: CooMat): Storage = {
-    val (pos2, idx2, vals) = crsArrays(mat)
-    val (pN, iN, vN) = (s"${name}_pos2", s"${name}_idx2", s"${name}_val")
-    val tsm = compile(
-      sum(gen("row")("_", rng(0, mat.m)))(
-        SDict(List(v("row")),
-          sum(gen("off")("col", sub(iN, get(pN, v("row")), get(pN, add(v("row"), 1)))))(
-            SDict(List(v("col")), get(vN, v("off")), unique = List(true))),
-          unique = List(true))))
-    val seg = if (mat.m == 0) 0.0 else mat.nnz.toDouble / mat.m
-    Storage(name, fmt,
-      Map(pN -> longArr(pos2), iN -> longArr(idx2), vN -> denseArr(vals)), tsm,
-      Card.of(1.0, (mat.m, true), (math.max(1.0, seg), false)),
-      Map(pN -> Card.vec(pos2.length), iN -> Card.vec(idx2.length), vN -> Card.vec(vals.length)),
-      math.max(1.0, seg))
+    matLevels(name, "CSC", mat.transpose, Some(DenseTop(mat.n))).copy(tsm = tsm,
+      logicalCard = Card.of(1.0, (mat.m, false),
+        (math.max(1.0, mat.nnz.toDouble / math.max(1, mat.m)), false)))
   }
 
   /** DCSR (Example 4.2): sparse-sparse — only non-empty rows stored. */
-  def dcsr(name: String, mat: CooMat): Storage = {
-    val rows = mat.entries.map(_._1).distinct.sorted
-    val rowRank = rows.zipWithIndex.toMap
-    val pos1 = Array(0L, rows.length.toLong)
-    val idx1 = rows.map(_.toLong)
-    val pos2 = new Array[Long](rows.length + 1)
-    val idx2 = new Array[Long](mat.nnz)
-    val vals = new Array[Double](mat.nnz)
-    mat.entries.foreach { case (i, _, _) => pos2(rowRank(i) + 1) += 1 }
-    var r = 0
-    while (r < rows.length) { pos2(r + 1) += pos2(r); r += 1 }
-    val cur = pos2.clone()
-    mat.entries.foreach { case (i, j, v) =>
-      val p = cur(rowRank(i)).toInt; idx2(p) = j.toLong; vals(p) = v; cur(rowRank(i)) += 1
-    }
-    val (p1N, i1N, p2N, i2N, vN) =
-      (s"${name}_pos1", s"${name}_idx1", s"${name}_pos2", s"${name}_idx2", s"${name}_val")
-    val tsm = compile(
-      sum(gen("ipos")("i", sub(i1N, get(p1N, 0), get(p1N, 1))))(
-        SDict(List(v("i")),
-          sum(gen("jpos")("j", sub(i2N, get(p2N, v("ipos")), get(p2N, add(v("ipos"), 1)))))(
-            SDict(List(v("j")), get(vN, v("jpos")), unique = List(true))),
-          unique = List(true))))
-    val seg = if (rows.isEmpty) 0.0 else mat.nnz.toDouble / rows.length
-    Storage(name, "DCSR",
-      Map(p1N -> longArr(pos1), i1N -> longArr(idx1), p2N -> longArr(pos2),
-          i2N -> longArr(idx2), vN -> denseArr(vals)), tsm,
-      Card.of(1.0, (rows.length, false), (math.max(1.0, seg), false)),
-      Map(p1N -> Card.vec(2), i1N -> Card.vec(idx1.length),
-          p2N -> Card.vec(pos2.length), i2N -> Card.vec(idx2.length),
-          vN -> Card.vec(vals.length)),
-      math.max(1.0, seg))
-  }
+  def dcsr(name: String, mat: CooMat): Storage = matLevels(name, "DCSR", mat, None)
 
   /** COO (Sec. 2): parallel idx1/idx2/val arrays, row-major sorted. */
   def coo(name: String, mat: CooMat): Storage = {
@@ -284,54 +293,10 @@ object Formats {
   }
 
   /** CSF for a rank-3 tensor (the format used for TTM/MTTKRP). */
-  def csf(name: String, t: Coo3): Storage = {
-    val e = t.entries
-    // level 1: distinct i; level 2: distinct (i,j) per i; level 3: k per (i,j)
-    val i1 = Array.newBuilder[Long]; val p2 = Array.newBuilder[Long]
-    val i2 = Array.newBuilder[Long]; val p3 = Array.newBuilder[Long]
-    val i3 = new Array[Long](e.length); val vs = new Array[Double](e.length)
-    p2 += 0L; p3 += 0L
-    var n2 = 0L; var n3 = 0L
-    var x = 0
-    while (x < e.length) {
-      val i = e(x)._1
-      i1 += i.toLong
-      while (x < e.length && e(x)._1 == i) {
-        val j = e(x)._2
-        i2 += j.toLong; n2 += 1
-        while (x < e.length && e(x)._1 == i && e(x)._2 == j) {
-          i3(n3.toInt) = e(x)._3.toLong; vs(n3.toInt) = e(x)._4; n3 += 1; x += 1
-        }
-        p3 += n3
-      }
-      p2 += n2
-    }
-    val i1a = i1.result(); val p2a = p2.result(); val i2a = i2.result(); val p3a = p3.result()
-    val (p1N, i1N, p2N, i2N, p3N, i3N, vN) =
-      (s"${name}_pos1", s"${name}_idx1", s"${name}_pos2", s"${name}_idx2",
-       s"${name}_pos3", s"${name}_idx3", s"${name}_val")
-    val tsm = compile(
-      sum(gen("p1")("i", sub(i1N, get(p1N, 0), get(p1N, 1))))(
-        SDict(List(v("i")),
-          sum(gen("p2")("j", sub(i2N, get(p2N, v("p1")), get(p2N, add(v("p1"), 1)))))(
-            SDict(List(v("j")),
-              sum(gen("p3")("k", sub(i3N, get(p3N, v("p2")), get(p3N, add(v("p2"), 1)))))(
-                SDict(List(v("k")), get(vN, v("p3")), unique = List(true))),
-              unique = List(true))),
-          unique = List(true))))
-    val s1 = i1a.length.toDouble
-    val s2 = if (s1 == 0) 1.0 else i2a.length / s1
-    val s3 = if (i2a.isEmpty) 1.0 else e.length.toDouble / i2a.length
-    Storage(name, "CSF",
-      Map(p1N -> longArr(Array(0L, i1a.length.toLong)), i1N -> longArr(i1a),
-          p2N -> longArr(p2a), i2N -> longArr(i2a),
-          p3N -> longArr(p3a), i3N -> longArr(i3), vN -> denseArr(vs)), tsm,
-      Card.of(1.0, (math.max(1.0, s1), false), (math.max(1.0, s2), false), (math.max(1.0, s3), false)),
-      Map(p1N -> Card.vec(2), i1N -> Card.vec(i1a.length), p2N -> Card.vec(p2a.length),
-          i2N -> Card.vec(i2a.length), p3N -> Card.vec(p3a.length),
-          i3N -> Card.vec(i3.length), vN -> Card.vec(vs.length)),
-      math.max(1.0, math.max(s2, s3)))
-  }
+  def csf(name: String, t: Coo3): Storage =
+    compressedLevels(name, "CSF",
+      Seq(t.entries.map(_._1.toLong), t.entries.map(_._2.toLong), t.entries.map(_._3.toLong)),
+      t.entries.map(_._4), None)
 
   /** Dense lower-triangular matrix (Sec. 4, "beyond" formats). */
   def lowerTriangular(name: String, n: Int, vals: Array[Double]): Storage = {

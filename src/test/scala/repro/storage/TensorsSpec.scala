@@ -33,15 +33,70 @@ class TensorsSpec extends AnyFunSuite {
     assert(Value.deepEq(Interp.run(st.tsm, st.symbols), m.toValue))
   }
 
+  // C = row0: (6,0,9,8); row1 empty; row2: (5,0,0,7)
+  private val fig1 = CooMat(3, 4, Array((0, 0, 6.0), (0, 2, 9.0), (0, 3, 8.0),
+    (2, 0, 5.0), (2, 3, 7.0)))
+
   test("CSR of the paper's Fig. 1 matrix") {
-    // C = row0: (6,0,9,8); row1 empty; row2: (5,0,0,7)
-    val c = CooMat(3, 4, Array((0, 0, 6.0), (0, 2, 9.0), (0, 3, 8.0),
-      (2, 0, 5.0), (2, 3, 7.0)))
-    val st = Formats.csr("C", c)
+    val st = Formats.csr("C", fig1)
     assert(st.symbols("C_pos2").asInstanceOf[VDenseL].a.toSeq == Seq(0L, 3L, 3L, 5L))
     assert(st.symbols("C_idx2").asInstanceOf[VDenseL].a.toSeq == Seq(0L, 2L, 3L, 0L, 3L))
     assert(st.symbols("C_val").asInstanceOf[VDenseN].a.toSeq == Seq(6.0, 9.0, 8.0, 5.0, 7.0))
-    assert(Value.deepEq(Interp.run(st.tsm, st.symbols), c.toValue))
+    assert(Value.deepEq(Interp.run(st.tsm, st.symbols), fig1.toValue))
+  }
+
+  // The optimizer plans against a storage's TSM shape and cards, so these
+  // pins hold them fixed.
+  private def pin(st: Storage, tsm: String, logicalCard: Card,
+                  symCards: Map[String, Card], avgSegment: Double): Unit = {
+    assert(Expr.pretty(st.tsm) == tsm)
+    assert(st.logicalCard == logicalCard)
+    assert(st.symCards == symCards)
+    assert(st.avgSegment == avgSegment)
+  }
+
+  test("CSR pins its TSM and cards on the Fig. 1 matrix") {
+    pin(Formats.csr("C", fig1),
+      "sum(<k,v> in (0:3)) {@unique k -> " +
+        "sum(<a,b> in C_idx2(C_pos2(k):C_pos2((k + 1)))) {@unique b -> C_val(a)}}",
+      Card.of(1.0, (3, true), (5.0 / 3, false)),
+      Map("C_pos2" -> Card.vec(4), "C_idx2" -> Card.vec(5), "C_val" -> Card.vec(5)),
+      5.0 / 3)
+  }
+
+  test("DCSR pins its TSM and cards on the Fig. 1 matrix") {
+    pin(Formats.dcsr("C", fig1),
+      "sum(<k,v> in C_idx1(C_pos1(0):C_pos1(1))) {@unique v -> " +
+        "sum(<a,b> in C_idx2(C_pos2(k):C_pos2((k + 1)))) {@unique b -> C_val(a)}}",
+      Card.of(1.0, (2, false), (2.5, false)),
+      Map("C_pos1" -> Card.vec(2), "C_idx1" -> Card.vec(2), "C_pos2" -> Card.vec(3),
+        "C_idx2" -> Card.vec(5), "C_val" -> Card.vec(5)),
+      2.5)
+  }
+
+  test("CSC pins its TSM and cards on the Fig. 1 matrix") {
+    pin(Formats.csc("C", fig1),
+      "sum(<k,v> in (0:4)) " +
+        "sum(<a,b> in C_idx2(C_pos2(k):C_pos2((k + 1)))) {@unique b -> {k -> C_val(a)}}",
+      Card.of(1.0, (3, false), (5.0 / 3, false)),
+      Map("C_pos2" -> Card.vec(5), "C_idx2" -> Card.vec(5), "C_val" -> Card.vec(5)),
+      1.25)
+  }
+
+  test("an empty DCSR has top card 1 and round-trips") {
+    val st = Formats.dcsr("E", CooMat(3, 3, Array.empty))
+    assert(st.logicalCard == Card.of(1.0, (1, false), (1, false)))
+    assert(st.avgSegment == 1.0)
+    assert(Value.deepEq(Interp.run(st.tsm, st.symbols), VZero))
+  }
+
+  test("compressed levels reject unsorted or repeated coordinates") {
+    intercept[IllegalArgumentException](
+      Formats.csr("U", CooMat(2, 2, Array((1, 0, 1.0), (0, 1, 2.0)))))
+    intercept[IllegalArgumentException](
+      Formats.dcsr("U", CooMat(2, 2, Array((0, 1, 1.0), (0, 0, 2.0)))))
+    intercept[IllegalArgumentException](
+      Formats.csf("U", Coo3(2, 2, 2, Array((0, 1, 1, 1.0), (0, 1, 1, 2.0)))))
   }
 
   test("dense vector TSM is the identity mapping") {
@@ -64,12 +119,25 @@ class TensorsSpec extends AnyFunSuite {
     assert(Value.deepEq(Interp.run(st.tsm, st.symbols), t.toValue))
   }
 
+  private val csfSmall = Coo3(2, 2, 3, Array((0, 0, 1, 1.0), (0, 1, 0, 2.0), (1, 1, 2, 3.0)))
+
   test("CSF segments are consistent") {
-    val t = Coo3(2, 2, 3, Array((0, 0, 1, 1.0), (0, 1, 0, 2.0), (1, 1, 2, 3.0)))
-    val st = Formats.csf("T", t)
+    val st = Formats.csf("T", csfSmall)
     assert(st.symbols("T_idx1").asInstanceOf[VDenseL].a.toSeq == Seq(0L, 1L))
     assert(st.symbols("T_pos2").asInstanceOf[VDenseL].a.toSeq == Seq(0L, 2L, 3L))
-    assert(Value.deepEq(Interp.run(st.tsm, st.symbols), t.toValue))
+    assert(Value.deepEq(Interp.run(st.tsm, st.symbols), csfSmall.toValue))
+  }
+
+  test("CSF pins its TSM and cards") {
+    pin(Formats.csf("T", csfSmall),
+      "sum(<k,v> in T_idx1(T_pos1(0):T_pos1(1))) {@unique v -> " +
+        "sum(<a,b> in T_idx2(T_pos2(k):T_pos2((k + 1)))) {@unique b -> " +
+        "sum(<c,d> in T_idx3(T_pos3(a):T_pos3((a + 1)))) {@unique d -> T_val(c)}}}",
+      Card.of(1.0, (2, false), (1.5, false), (1, false)),
+      Map("T_pos1" -> Card.vec(2), "T_idx1" -> Card.vec(2), "T_pos2" -> Card.vec(3),
+        "T_idx2" -> Card.vec(3), "T_pos3" -> Card.vec(4), "T_idx3" -> Card.vec(3),
+        "T_val" -> Card.vec(3)),
+      1.5)
   }
 
   test("lower-triangular TSM round-trips") {
