@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.storage.{CooMat, Coo3}
+import repro.storage.CooMat
 import Linalg._
 
 /** Baseline tensor systems, modeled after the comparators of Sec. 6
@@ -65,9 +65,5 @@ object Systems {
     def sumMmm(a: CooMat, b: CooMat): Double = repro.kernels.Kernels.refSumMmm(a, b)
     def batax(beta: Double, a: CooMat, x: Array[Double]): Double =
       repro.exec.Value.toCoo(repro.kernels.Kernels.refBatax(beta, a, x)).map(_._2).sum
-    def ttm(a: Coo3, b: CooMat): Double =
-      repro.exec.Value.toCoo(repro.kernels.Kernels.refTtm(a, b)).map(_._2).sum
-    def mttkrp(a: Coo3, b: CooMat, c: CooMat): Double =
-      repro.exec.Value.toCoo(repro.kernels.Kernels.refMttkrp(a, b, c)).map(_._2).sum
   }
 }

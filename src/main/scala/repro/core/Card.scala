@@ -63,5 +63,4 @@ final case class Stats(
     denseWidth: Double = 256.0) {
 
   def card(sym: String): Card = symCards.getOrElse(sym, Card.scalar)
-  def withSegment(s: Double): Stats = copy(defaultSegment = s)
 }

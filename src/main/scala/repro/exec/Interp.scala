@@ -142,11 +142,4 @@ object Interp {
   /** Evaluate a closed expression over a symbol table. */
   def run(e: Expr, symtab: collection.Map[String, Value]): Value =
     new Interp(symtab).eval(e)
-
-  /** Wall-clock of one evaluation, in milliseconds. */
-  def timeMs(e: Expr, symtab: collection.Map[String, Value]): (Value, Double) = {
-    val t0 = System.nanoTime()
-    val v = run(e, symtab)
-    ((v, (System.nanoTime() - t0) / 1e6))
-  }
 }

@@ -216,6 +216,17 @@ object Value {
       buf.result().groupBy(_._1).map { case (ks, es) => (ks, es.map(_._2).sum) }
         .filter(_._2 != 0.0).toSeq.sortBy(_._1.mkString(","))
   }
+
+  /** The inverse of `toCoo`: rows `(keys..., value)` as nested hash
+    * dictionaries, one level per key; rows with the same keys add up. */
+  def fromCoo(rows: Seq[(Seq[Long], Double)]): Value =
+    if (rows.forall(_._1.isEmpty)) {
+      val s = rows.map(_._2).sum
+      if (s == 0) VZero else VNum(s)
+    } else
+      new VHashV(LongMap.from(rows.groupBy(_._1.head).map { case (k, rs) =>
+        k -> fromCoo(rs.map { case (ks, d) => (ks.tail, d) })
+      }))
 }
 
 /** Mutable accumulator for `sum` — specializes on the first inserted

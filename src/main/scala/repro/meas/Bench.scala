@@ -4,7 +4,7 @@ package repro.meas
 object Bench {
 
   /** Median wall-clock of `reps` runs (after warmup), in ms, plus
-    * the last result for checksum validation. */
+    * the last result, for validation. */
   def timeMedian[A](reps: Int = 5)(f: => A): (A, Double) = {
     f; f; f // warmup (JIT)
     val times = new Array[Double](reps)

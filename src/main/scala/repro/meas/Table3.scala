@@ -1,6 +1,6 @@
 package repro.meas
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.exec._
 import repro.kernels.Kernels
@@ -14,6 +14,8 @@ import repro.relational.{DuckKernels, RelKernels}
   * candidate formats through the optimizer + single-node engine; the
   * library baselines run their fixed formats (CSR / Dense / COO); DuckDB
   * runs the aggregate-join SQL; Spark SQL is our extra relational row.
+  * The kernel × format grid is stated once, as `programs`, which Table 4
+  * and the optimizer tests read too.
   *
   * A is synthetic (the paper uses the Table 2 datasets for A; one
   * synthetic A keeps the grid affordable — Table2Bench covers the
@@ -39,47 +41,127 @@ object Table3 {
     Workload(a, b, x, 2.5, a3, bTtm, bMk, cMk)
   }
 
-  final case class Cell(kernel: String, system: String, format: String,
-                        timeMs: Double, checksum: Double, ok: Boolean)
+  /** One tensor program of the evaluation grid: `kernel` with one storage
+    * format per operand (`formats`, in operand order), the inputs it needs
+    * and its ground-truth result. Storages and reference are built on
+    * first use. */
+  final class Program private[Table3] (
+      val kernel: String, val formats: Seq[String], val tp: Expr,
+      buildStorages: => Seq[Storage],
+      val extraCards: Map[String, Card], val extraVals: Map[String, Value],
+      buildReference: => Value) {
+    lazy val storages: Seq[Storage] = buildStorages
+    lazy val reference: Value = buildReference
+    /** The label Table 3 prints, e.g. `CSF,CSR,CSC`. */
+    def format: String = formats.mkString(",")
+    def symtab: Map[String, Value] = storages.flatMap(_.symbols).toMap ++ extraVals
+  }
 
-  /** Per-kernel per-system best cell (argmin over candidate formats). */
+  private val matFormats: Map[String, (String, CooMat) => Storage] = Map(
+    "CSR" -> Formats.csr, "CSC" -> Formats.csc, "Dense" -> Formats.denseMat,
+    "COO" -> Formats.coo, "Trie" -> Formats.trie, "DCSR" -> Formats.dcsr,
+    "Hash" -> Formats.dok)
+
+  /** The storage formats Table 3 tries for each kernel, in the order it
+    * runs them. Vectors are only `Dense` and rank-3 tensors only `CSF`. */
+  private val candidates: Seq[(String, Seq[String])] = Seq(
+    "MMM" -> Seq("CSR,CSR", "CSC,CSR", "Dense,Dense", "COO,COO", "Trie,Trie"),
+    "SumMMM" -> Seq("CSC,CSR", "CSR,CSR", "Dense,Dense", "Trie,Trie"),
+    "BATAX" -> Seq("CSR,Dense", "Trie,Dense", "Dense,Dense", "DCSR,Dense"),
+    "TTM" -> Seq("CSF,CSC", "CSF,CSR"),
+    "MTTKRP" -> Seq("CSF,CSR,CSC", "CSF,CSR,CSR"))
+
+  /** `kernel` over `w`'s operands, stored in the comma-separated `format`s
+    * (any matrix format of `matFormats`). */
+  def program(w: Workload, kernel: String, format: String): Program = {
+    val fs = format.split(',').toSeq
+    def mat(i: Int, name: String, m: CooMat): Storage = matFormats(fs(i))(name, m)
+    def only(i: Int, f: String): Unit =
+      require(fs(i) == f, s"$kernel/$format: operand ${i + 1} can only be $f")
+    def prog(tp: Expr, storages: => Seq[Storage], reference: => Value,
+             extraCards: Map[String, Card] = Map.empty,
+             extraVals: Map[String, Value] = Map.empty) =
+      new Program(kernel, fs, tp, storages, extraCards, extraVals, reference)
+    kernel match {
+      case "MMM" =>
+        prog(Kernels.mmm, Seq(mat(0, "A", w.a), mat(1, "B", w.b)), Kernels.refMmm(w.a, w.b))
+      case "SumMMM" =>
+        prog(Kernels.sumMmm, Seq(mat(0, "A", w.a), mat(1, "B", w.b)),
+          VNum(Kernels.refSumMmm(w.a, w.b)))
+      case "BATAX" =>
+        only(1, "Dense")
+        prog(Kernels.batax, Seq(mat(0, "A", w.a), Formats.denseVec("X", w.x)),
+          Kernels.refBatax(w.beta, w.a, w.x),
+          Map("beta" -> Card.scalar), Map("beta" -> VNum(w.beta)))
+      case "TTM" =>
+        only(0, "CSF")
+        prog(Kernels.ttm, Seq(Formats.csf("A", w.a3), mat(1, "B", w.bTtm)),
+          Kernels.refTtm(w.a3, w.bTtm))
+      case "MTTKRP" =>
+        only(0, "CSF")
+        prog(Kernels.mttkrp,
+          Seq(Formats.csf("A", w.a3), mat(1, "B", w.bMk), mat(2, "C", w.cMk)),
+          Kernels.refMttkrp(w.a3, w.bMk, w.cMk))
+    }
+  }
+
+  /** Every kernel over every candidate format combination, in Table 3's order. */
+  def programs(w: Workload): Seq[Program] =
+    candidates.flatMap { case (k, fs) => fs.map(program(w, k, _)) }
+
+  /** The programs Table 4 compiles: STOREL's format pick in the paper's
+    * Table 3 (`paperFormats`), in Table 4's kernel order. */
+  def table4(w: Workload): Seq[Program] = {
+    val all = programs(w)
+    Seq("BATAX", "SumMMM", "MTTKRP", "MMM", "TTM").map { k =>
+      all.find(p => p.kernel == k && p.format == paperFormats((k, "STOREL"))).get
+    }
+  }
+
+  final case class Cell(kernel: String, system: String, format: String,
+                        timeMs: Double, ok: Boolean)
+
+  /** Per-kernel per-system best cell (argmin over candidate formats). Each
+    * system's result is timed as the system returns it; STOREL, the Taco
+    * model, DuckDB and Spark SQL are then compared entry by entry with the
+    * program's reference, the library baselines by checksum. */
   def run(spark: Option[SparkSession], log: String => Unit = _ => (),
           cfg: Optimizer.Config = Optimizer.Config(),
           w: Workload = defaultWorkload()): Seq[Cell] = {
 
-    val refs = Map(
-      "MMM" -> Systems.Ref.mmm(w.a, w.b),
-      "SumMMM" -> Systems.Ref.sumMmm(w.a, w.b),
-      "BATAX" -> Systems.Ref.batax(w.beta, w.a, w.x),
-      "TTM" -> Systems.Ref.ttm(w.a3, w.bTtm),
-      "MTTKRP" -> Systems.Ref.mttkrp(w.a3, w.bMk, w.cMk))
+    val grid = programs(w)
+    def reference(kernel: String): Value = grid.find(_.kernel == kernel).get.reference
+    // the relational systems store every operand as a COO relation
+    def coo(kernel: String): String =
+      Seq.fill(grid.find(_.kernel == kernel).get.formats.size)("COO").mkString(",")
 
     def cell(kernel: String, system: String, format: String,
-             t: Double, cs: Double): Cell = {
-      val c = Cell(kernel, system, format, t, cs, Bench.close(cs, refs(kernel), 1e-6))
+             t: Double, ok: Boolean): Cell = {
+      val c = Cell(kernel, system, format, t, ok)
       log(f"  $kernel%-7s $system%-9s $format%-15s ${t}%8.1f ms  ok=${c.ok}")
       c
     }
 
-    def checksum(v: Value): Double = Value.toCoo(v).map(_._2).sum
+    // times `result`, then turns it into a `Value` untimed and checks it
+    def timed[R](kernel: String, system: String, format: String)(result: => R)(
+        value: R => Value): Cell = {
+      val (r, t) = Bench.timeAdaptive(result)
+      cell(kernel, system, format, t, Value.deepEq(value(r), reference(kernel)))
+    }
 
     // ---- STOREL / TacoLike over candidate formats -------------------------
-    def engineRun(kernel: String, system: String, tp: Expr,
-                  formatName: String, storages: Seq[Storage],
-                  extraCards: Map[String, Card],
-                  extraVals: Map[String, Value]): Cell = {
-      val symtab = storages.flatMap(_.symbols).toMap ++ extraVals
+    def engineRun(system: String, p: Program): Cell = {
       val plan =
-        if (system == "STOREL") Optimizer.optimize(tp, storages, extraCards, cfg).plan
+        if (system == "STOREL") Optimizer.optimize(p.tp, p.storages, p.extraCards, cfg).plan
         else {
           // Taco model: fusion + physical lowering, no factorization
-          val composed = Optimizer.compose(tp, storages)
+          val composed = Optimizer.compose(p.tp, p.storages)
           Optimizer.saturateRounds(composed, Rules.tacoLike,
-            Optimizer.physicalStats(storages, extraCards),
+            Optimizer.physicalStats(p.storages, p.extraCards),
             cfg.stage2, 2, cfg.params)._1
         }
-      val (v, t) = Bench.timeAdaptive(Interp.run(plan, symtab))
-      cell(kernel, system, formatName, t, checksum(v))
+      val symtab = p.symtab
+      timed(p.kernel, system, p.format)(Interp.run(plan, symtab))(identity)
     }
 
     def bestOf(cells: Seq[Cell]): Cell = cells.filter(_.ok) match {
@@ -87,133 +169,75 @@ object Table3 {
       case ok => ok.minBy(_.timeMs)
     }
 
+    // ---- library baselines: fixed formats, checksums ----------------------
+    def library(kernel: String, system: String, format: String, ref: Double)(
+        checksum: => Double): Cell = {
+      val (cs, t) = Bench.timeAdaptive(checksum)
+      cell(kernel, system, format, t, Bench.close(cs, ref, 1e-6))
+    }
+    // The Python frameworks have no sparse rank-3 tensors (footnote 3).
+    def libraryCells(kernel: String): Seq[Cell] = {
+      lazy val aCsr = Linalg.CSR.from(w.a)
+      lazy val bCsr = Linalg.CSR.from(w.b)
+      lazy val aD = Linalg.DenseMat.from(w.a)
+      lazy val bD = Linalg.DenseMat.from(w.b)
+      kernel match {
+        case "MMM" =>
+          val ref = Systems.Ref.mmm(w.a, w.b)
+          Seq(library(kernel, "SciPyLike", "CSR,CSR", ref)(Systems.SciPyLike.mmm(aCsr, bCsr)),
+            library(kernel, "NumPyLike", "Dense,Dense", ref)(Systems.NumPyLike.mmm(aD, bD)),
+            library(kernel, "TorchLike", "CSR,Dense", ref)(Systems.TorchLike.mmm(aCsr, bD)))
+        case "SumMMM" =>
+          val ref = Systems.Ref.sumMmm(w.a, w.b)
+          Seq(library(kernel, "SciPyLike", "CSR,CSR", ref)(Systems.SciPyLike.sumMmm(aCsr, bCsr)),
+            library(kernel, "NumPyLike", "Dense,Dense", ref)(Systems.NumPyLike.sumMmm(aD, bD)),
+            library(kernel, "TorchLike", "CSR,Dense", ref)(Systems.TorchLike.sumMmm(aCsr, bD)))
+        case "BATAX" =>
+          val ref = Systems.Ref.batax(w.beta, w.a, w.x)
+          val aT = aCsr.transpose; val aDT = aD.transpose
+          Seq(library(kernel, "SciPyLike", "CSR,Dense", ref)(
+              Systems.SciPyLike.batax(w.beta, aCsr, aT, w.x)),
+            library(kernel, "NumPyLike", "Dense,Dense", ref)(
+              Systems.NumPyLike.batax(w.beta, aD, aDT, w.x)),
+            library(kernel, "TorchLike", "CSR,Dense", ref)(
+              Systems.TorchLike.batax(w.beta, aCsr, aT, w.x)))
+        case _ => Nil
+      }
+    }
+
     val out = Seq.newBuilder[Cell]
-    val matFmts: Map[String, (String, CooMat) => Storage] = Map(
-      "CSR" -> Formats.csr, "CSC" -> Formats.csc, "Dense" -> Formats.denseMat,
-      "COO" -> Formats.coo, "Trie" -> Formats.trie, "DCSR" -> Formats.dcsr)
-
-    def mmFormats(kernel: String, tp: Expr, combos: Seq[(String, String)],
-                  system: String): Cell =
-      bestOf(combos.map { case (fa, fb) =>
-        engineRun(kernel, system, tp, s"$fa,$fb",
-          Seq(matFmts(fa)("A", w.a), matFmts(fb)("B", w.b)), Map.empty, Map.empty)
-      })
-
-    // ---- MMM ---------------------------------------------------------------
-    log("MMM")
-    val mmmCombos = Seq("CSR" -> "CSR", "CSC" -> "CSR", "Dense" -> "Dense",
-      "COO" -> "COO", "Trie" -> "Trie")
-    out += mmFormats("MMM", Kernels.mmm, mmmCombos, "STOREL")
-    out += mmFormats("MMM", Kernels.mmm, mmmCombos, "TacoLike")
-    locally {
-      val aCsr = Linalg.CSR.from(w.a); val bCsr = Linalg.CSR.from(w.b)
-      val (cs, t) = Bench.timeAdaptive(Systems.SciPyLike.mmm(aCsr, bCsr))
-      out += cell("MMM", "SciPyLike", "CSR,CSR", t, cs)
-      val aD = Linalg.DenseMat.from(w.a); val bD = Linalg.DenseMat.from(w.b)
-      val (cs2, t2) = Bench.timeAdaptive(Systems.NumPyLike.mmm(aD, bD))
-      out += cell("MMM", "NumPyLike", "Dense,Dense", t2, cs2)
-      val (cs3, t3) = Bench.timeAdaptive(Systems.TorchLike.mmm(aCsr, bD))
-      out += cell("MMM", "TorchLike", "CSR,Dense", t3, cs3)
+    grid.map(_.kernel).distinct.foreach { k =>
+      log(k)
+      val ps = grid.filter(_.kernel == k)
+      out += bestOf(ps.map(engineRun("STOREL", _)))
+      out += bestOf(ps.map(engineRun("TacoLike", _)))
+      out ++= libraryCells(k)
     }
-
-    // ---- ΣMMM --------------------------------------------------------------
-    log("SumMMM")
-    val sumCombos = Seq("CSC" -> "CSR", "CSR" -> "CSR", "Dense" -> "Dense",
-      "Trie" -> "Trie")
-    out += mmFormats("SumMMM", Kernels.sumMmm, sumCombos, "STOREL")
-    out += mmFormats("SumMMM", Kernels.sumMmm, sumCombos, "TacoLike")
-    locally {
-      val aCsr = Linalg.CSR.from(w.a); val bCsr = Linalg.CSR.from(w.b)
-      val (cs, t) = Bench.timeAdaptive(Systems.SciPyLike.sumMmm(aCsr, bCsr))
-      out += cell("SumMMM", "SciPyLike", "CSR,CSR", t, cs)
-      val aD = Linalg.DenseMat.from(w.a); val bD = Linalg.DenseMat.from(w.b)
-      val (cs2, t2) = Bench.timeAdaptive(Systems.NumPyLike.sumMmm(aD, bD))
-      out += cell("SumMMM", "NumPyLike", "Dense,Dense", t2, cs2)
-      val (cs3, t3) = Bench.timeAdaptive(Systems.TorchLike.sumMmm(aCsr, bD))
-      out += cell("SumMMM", "TorchLike", "CSR,Dense", t3, cs3)
-    }
-
-    // ---- BATAX -------------------------------------------------------------
-    log("BATAX")
-    def bataxEngine(system: String): Cell =
-      bestOf(Seq("CSR", "Trie", "Dense", "DCSR").map { fa =>
-        engineRun("BATAX", system, Kernels.batax, s"$fa,Dense",
-          Seq(matFmts(fa)("A", w.a), Formats.denseVec("X", w.x)),
-          Map("beta" -> Card.scalar), Map("beta" -> VNum(w.beta)))
-      })
-    out += bataxEngine("STOREL")
-    out += bataxEngine("TacoLike")
-    locally {
-      val aCsr = Linalg.CSR.from(w.a); val aT = aCsr.transpose
-      val (cs, t) = Bench.timeAdaptive(Systems.SciPyLike.batax(w.beta, aCsr, aT, w.x))
-      out += cell("BATAX", "SciPyLike", "CSR,Dense", t, cs)
-      val aD = Linalg.DenseMat.from(w.a); val aDT = aD.transpose
-      val (cs2, t2) = Bench.timeAdaptive(Systems.NumPyLike.batax(w.beta, aD, aDT, w.x))
-      out += cell("BATAX", "NumPyLike", "Dense,Dense", t2, cs2)
-      val (cs3, t3) = Bench.timeAdaptive(Systems.TorchLike.batax(w.beta, aCsr, aT, w.x))
-      out += cell("BATAX", "TorchLike", "CSR,Dense", t3, cs3)
-    }
-
-    // ---- TTM ---------------------------------------------------------------
-    log("TTM")
-    def ttmEngine(system: String): Cell =
-      bestOf(Seq("CSC", "CSR").map { fb =>
-        engineRun("TTM", system, Kernels.ttm, s"CSF,$fb",
-          Seq(Formats.csf("A", w.a3), matFmts(fb)("B", w.bTtm)),
-          Map.empty, Map.empty)
-      })
-    out += ttmEngine("STOREL")
-    out += ttmEngine("TacoLike")
-
-    // ---- MTTKRP ------------------------------------------------------------
-    log("MTTKRP")
-    def mttkrpEngine(system: String): Cell =
-      bestOf(Seq(("CSR", "CSC"), ("CSR", "CSR")).map { case (fb, fc) =>
-        engineRun("MTTKRP", system, Kernels.mttkrp, s"CSF,$fb,$fc",
-          Seq(Formats.csf("A", w.a3), matFmts(fb)("B", w.bMk),
-            matFmts(fc)("C", w.cMk)),
-          Map.empty, Map.empty)
-      })
-    out += mttkrpEngine("STOREL")
-    out += mttkrpEngine("TacoLike")
 
     // ---- DuckDB (real, via JDBC) ------------------------------------------
     log("DuckDB")
     locally {
       val db = DuckKernels.open()
+      def duck(kernel: String, sql: String): Unit =
+        out += timed(kernel, "DuckDB", coo(kernel))(db.query(sql))(Value.fromCoo)
       try {
         db.loadMatrix("A", w.a); db.loadMatrix("B", w.b)
         db.loadVector("X", w.x)
         db.loadTensor("A3", w.a3)
-        val (cs1, t1) = Bench.timeAdaptive(db.timeQuery(RelKernels.Sql.mmm)._1)
-        out += cell("MMM", "DuckDB", "COO,COO", t1, {
-          // checksum over i+j+v columns — recompute value-only sum
-          val (v, _) = db.timeQuery(
-            "SELECT SUM(v) AS v FROM (" + RelKernels.Sql.mmm + ")")
-          v
-        })
-        val (cs2, t2) = Bench.timeAdaptive(db.timeQuery(RelKernels.Sql.sumMmm)._1)
-        out += cell("SumMMM", "DuckDB", "COO,COO", t2, cs2)
-        val (_, t3) = Bench.timeAdaptive(db.timeQuery(RelKernels.Sql.batax(w.beta))._1)
-        out += cell("BATAX", "DuckDB", "COO,COO", t3,
-          db.timeQuery("SELECT SUM(v) AS v FROM (" + RelKernels.Sql.batax(w.beta) + ")")._1)
+        duck("MMM", RelKernels.Sql.mmm)
+        duck("SumMMM", RelKernels.Sql.sumMmm)
+        duck("BATAX", RelKernels.Sql.batax(w.beta))
         db.conn.createStatement().execute("DROP TABLE B"); db.loadMatrix("B", w.bTtm)
-        val (_, t4) = Bench.timeAdaptive(db.timeQuery(RelKernels.Sql.ttm)._1)
-        out += cell("TTM", "DuckDB", "COO,COO", t4,
-          db.timeQuery("SELECT SUM(v) AS v FROM (" + RelKernels.Sql.ttm + ")")._1)
+        duck("TTM", RelKernels.Sql.ttm)
         db.conn.createStatement().execute("DROP TABLE B"); db.loadMatrix("B", w.bMk)
         db.loadMatrix("C", w.cMk)
-        val (_, t5) = Bench.timeAdaptive(db.timeQuery(RelKernels.Sql.mttkrp)._1)
-        out += cell("MTTKRP", "DuckDB", "COO,COO,COO", t5,
-          db.timeQuery("SELECT SUM(v) AS v FROM (" + RelKernels.Sql.mttkrp + ")")._1)
-        val _ = (cs1, cs2)
+        duck("MTTKRP", RelKernels.Sql.mttkrp)
       } finally db.close()
     }
 
     // ---- Spark SQL (our extra relational row) ------------------------------
     spark.foreach { sp =>
       log("SparkSQL")
-      import org.apache.spark.sql.functions.{sum => ssum}
       val aDF = RelKernels.matrixDF(sp, w.a).cache(); aDF.count()
       val bDF = RelKernels.matrixDF(sp, w.b).cache(); bDF.count()
       val xDF = RelKernels.vectorDF(sp, w.x).cache(); xDF.count()
@@ -221,18 +245,14 @@ object Table3 {
       val btDF = RelKernels.matrixDF(sp, w.bTtm).cache(); btDF.count()
       val bmDF = RelKernels.matrixDF(sp, w.bMk).cache(); bmDF.count()
       val cmDF = RelKernels.matrixDF(sp, w.cMk).cache(); cmDF.count()
-      def csOf(df: org.apache.spark.sql.DataFrame): Double =
-        df.agg(ssum("v")).collect()(0).getDouble(0)
-      val (cs1, t1) = Bench.timeAdaptive(csOf(RelKernels.mmm(aDF, bDF)))
-      out += cell("MMM", "SparkSQL", "COO,COO", t1, cs1)
-      val (cs2, t2) = Bench.timeAdaptive(csOf(RelKernels.sumMmm(aDF, bDF)))
-      out += cell("SumMMM", "SparkSQL", "COO,COO", t2, cs2)
-      val (cs3, t3) = Bench.timeAdaptive(csOf(RelKernels.batax(w.beta, aDF, xDF)))
-      out += cell("BATAX", "SparkSQL", "COO,COO", t3, cs3)
-      val (cs4, t4) = Bench.timeAdaptive(csOf(RelKernels.ttm(a3DF, btDF)))
-      out += cell("TTM", "SparkSQL", "COO,COO", t4, cs4)
-      val (cs5, t5) = Bench.timeAdaptive(csOf(RelKernels.mttkrp(a3DF, bmDF, cmDF)))
-      out += cell("MTTKRP", "SparkSQL", "COO,COO,COO", t5, cs5)
+      def sparkSql(kernel: String, query: => DataFrame): Unit =
+        out += timed(kernel, "SparkSQL", coo(kernel))(query.collect())(rows =>
+          Value.fromCoo(rows.toSeq.map(RelKernels.coo)))
+      sparkSql("MMM", RelKernels.mmm(aDF, bDF))
+      sparkSql("SumMMM", RelKernels.sumMmm(aDF, bDF))
+      sparkSql("BATAX", RelKernels.batax(w.beta, aDF, xDF))
+      sparkSql("TTM", RelKernels.ttm(a3DF, btDF))
+      sparkSql("MTTKRP", RelKernels.mttkrp(a3DF, bmDF, cmDF))
     }
 
     out.result()

@@ -1,16 +1,13 @@
 package repro.meas
 
-import repro.core._
+import repro.core.Optimizer
 import repro.egraph.RunStats
-import repro.exec.VNum
-import repro.kernels.Kernels
-import repro.storage._
 
 /** Table 4 reproduction: compilation metrics of the two-stage
   * equality-saturation optimization — Time (ms), Iterations, Nodes,
   * e-Classes, Memos — two rows per kernel (stage 1 = storage-independent,
-  * stage 2 = storage-aware), like the paper. Storage formats are
-  * STOREL's Table 3 picks. */
+  * stage 2 = storage-aware), like the paper. The programs are
+  * `Table3.table4`: STOREL's Table 3 format picks. */
 object Table4 {
 
   final case class Row(kernel: String, stage: Int, stats: RunStats)
@@ -30,24 +27,11 @@ object Table4 {
     ("TTM", 2) -> (891, 61, 15891, 3244, 23981))
 
   def run(cfg: Optimizer.Config = Optimizer.Config(),
-          w: Table3.Workload = Table3.defaultWorkload()): Seq[Row] = {
-    def opt(kernel: String, tp: Expr, storages: Seq[Storage],
-            extra: Map[String, Card] = Map.empty): Seq[Row] = {
-      val res = Optimizer.optimize(tp, storages, extra, cfg)
-      Seq(Row(kernel, 1, res.stage1), Row(kernel, 2, res.stage2))
+          w: Table3.Workload = Table3.defaultWorkload()): Seq[Row] =
+    Table3.table4(w).flatMap { p =>
+      val res = Optimizer.optimize(p.tp, p.storages, p.extraCards, cfg)
+      Seq(Row(p.kernel, 1, res.stage1), Row(p.kernel, 2, res.stage2))
     }
-    opt("BATAX", Kernels.batax,
-      Seq(Formats.csr("A", w.a), Formats.denseVec("X", w.x)),
-      Map("beta" -> Card.scalar)) ++
-    opt("SumMMM", Kernels.sumMmm,
-      Seq(Formats.csc("A", w.a), Formats.csr("B", w.b))) ++
-    opt("MTTKRP", Kernels.mttkrp,
-      Seq(Formats.csf("A", w.a3), Formats.csr("B", w.bMk), Formats.csc("C", w.cMk))) ++
-    opt("MMM", Kernels.mmm,
-      Seq(Formats.csr("A", w.a), Formats.csr("B", w.b))) ++
-    opt("TTM", Kernels.ttm,
-      Seq(Formats.csf("A", w.a3), Formats.csc("B", w.bTtm)))
-  }
 
   def render(rows: Seq[Row]): String =
     Bench.table(

@@ -49,20 +49,18 @@ object DuckKernels {
       ps.executeBatch(); ps.close()
     }
 
-    /** Run `sql`, returning (checksum over all numeric columns of the
-      * result, wall-clock ms of execution+fetch). */
-    def timeQuery(sql: String): (Double, Double) = {
-      val t0 = System.nanoTime()
+    /** Run `sql` and fetch its rows as (key columns, value): the last
+      * column is the value, every other one a key. */
+    def query(sql: String): Vector[(Vector[Long], Double)] = {
       val st = conn.createStatement()
-      val rs = st.executeQuery(sql)
-      val nCols = rs.getMetaData.getColumnCount
-      var sum = 0.0
-      while (rs.next()) {
-        var c = 1
-        while (c <= nCols) { sum += rs.getDouble(c); c += 1 }
-      }
-      rs.close(); st.close()
-      (sum, (System.nanoTime() - t0) / 1e6)
+      try {
+        val rs = st.executeQuery(sql)
+        val nKeys = rs.getMetaData.getColumnCount - 1
+        val rows = Vector.newBuilder[(Vector[Long], Double)]
+        while (rs.next())
+          rows += ((Vector.tabulate(nKeys)(c => rs.getLong(c + 1)), rs.getDouble(nKeys + 1)))
+        rows.result()
+      } finally st.close()
     }
 
     def close(): Unit = conn.close()

@@ -1,6 +1,6 @@
 package repro.relational
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.storage.{CooMat, Coo3}
 
@@ -33,6 +33,13 @@ object RelKernels {
     import spark.implicits._
     spark.createDataset(x.toSeq.zipWithIndex.map { case (v, i) => (i.toLong, v) })
       .toDF("i", "v")
+  }
+
+  /** A result row as (key columns, value), the shape of
+    * `DuckKernels.Db.query`'s rows. An empty `SUM` is 0. */
+  def coo(r: Row): (Vector[Long], Double) = {
+    val v = r.length - 1
+    (Vector.tabulate(v)(r.getLong), if (r.isNullAt(v)) 0.0 else r.getDouble(v))
   }
 
   /** MMM: Q(i,j) = Σ_k A(i,k)·B(k,j). */

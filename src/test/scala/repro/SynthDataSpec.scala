@@ -41,10 +41,4 @@ class SynthDataSpec extends SparkSpec {
       Seq("cant", "consph", "cop20k_A", "pdb1HYS", "rma10", "webbase",
           "NIPS", "NELL", "Facebook", "Enron"))
   }
-
-  test("TPC-H-lite generators still work (lineitem sample)") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    assert(li.count() > 1000)
-    assert(li.columns.contains("l_orderkey"))
-  }
 }

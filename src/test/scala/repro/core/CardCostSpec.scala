@@ -2,9 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.egraph.EGraph
-import repro.kernels.Kernels
 import repro.meas.Table3
-import repro.storage._
 
 /** Cardinality (Fig. 5) and cost (Fig. 6) model behavior. */
 class CardCostSpec extends AnyFunSuite {
@@ -93,7 +91,7 @@ class CardCostSpec extends AnyFunSuite {
   }
 
   test("non-literal segment bounds fall back to defaultSegment") {
-    val st = stats.withSegment(7.0)
+    val st = stats.copy(defaultSegment = 7.0)
     val m = new CostModel(st)
     val (card, _) = m.analyze(SubArr(Sym("A"), Get(Sym("A"), Num(0)), Get(Sym("A"), Num(1))))
     assert(card.count == 7.0)
@@ -123,31 +121,13 @@ class CardCostSpec extends AnyFunSuite {
 
   test("extracting a term alone from a fresh e-graph costs it as analyze does") {
     val w = Table3.defaultWorkload()
-    val mat: Map[String, (String, CooMat) => Storage] = Map(
-      "CSR" -> Formats.csr, "CSC" -> Formats.csc, "Dense" -> Formats.denseMat,
-      "COO" -> Formats.coo, "Trie" -> Formats.trie, "DCSR" -> Formats.dcsr)
-    def mm(a: String, b: String) = Seq(mat(a)("A", w.a), mat(b)("B", w.b))
-    // each kernel with the format combinations Table 3 tries, Table 4's first
-    val programs: Seq[(Expr, Seq[Seq[Storage]], Map[String, Card])] = Seq(
-      (Kernels.mmm, Seq(mm("CSR", "CSR"), mm("CSC", "CSR"), mm("Dense", "Dense"),
-        mm("COO", "COO"), mm("Trie", "Trie")), Map.empty),
-      (Kernels.sumMmm, Seq(mm("CSC", "CSR"), mm("CSR", "CSR"), mm("Dense", "Dense"),
-        mm("Trie", "Trie")), Map.empty),
-      (Kernels.batax, Seq("CSR", "Trie", "Dense", "DCSR").map(a =>
-        Seq(mat(a)("A", w.a), Formats.denseVec("X", w.x))), Map("beta" -> Card.scalar)),
-      (Kernels.ttm, Seq("CSC", "CSR").map(b =>
-        Seq(Formats.csf("A", w.a3), mat(b)("B", w.bTtm))), Map.empty),
-      (Kernels.mttkrp, Seq(("CSR", "CSC"), ("CSR", "CSR")).map { case (b, c) =>
-        Seq(Formats.csf("A", w.a3), mat(b)("B", w.bMk), mat(c)("C", w.cMk)) }, Map.empty))
-    def check(e: Expr, stats: Stats): Unit = {
-      val m = new CostModel(stats)
+    def check(e: Expr, p: Table3.Program): Unit = {
+      val m = new CostModel(Optimizer.physicalStats(p.storages, p.extraCards))
       val eg = new EGraph
       assert(m.extract(eg, eg.addExpr(e))._2 == m.analyze(e)._2, Expr.pretty(e))
     }
-    programs.foreach { case (tp, combos, extra) =>
-      combos.foreach(st => check(Optimizer.compose(tp, st), Optimizer.physicalStats(st, extra)))
-      val table4 = combos.head
-      check(Optimizer.optimize(tp, table4, extra).plan, Optimizer.physicalStats(table4, extra))
-    }
+    // the naive plan of every Table 3 program, and Table 4's optimized plans
+    Table3.programs(w).foreach(p => check(Optimizer.compose(p.tp, p.storages), p))
+    Table3.table4(w).foreach(p => check(Optimizer.optimize(p.tp, p.storages, p.extraCards).plan, p))
   }
 }

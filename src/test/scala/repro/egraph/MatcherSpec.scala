@@ -2,7 +2,7 @@ package repro.egraph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.kernels.Kernels
+import repro.meas.Table3
 import repro.storage._
 import scala.collection.mutable
 
@@ -74,17 +74,11 @@ class MatcherSpec extends AnyFunSuite {
 
   /** Every Kernels program, alone and composed with its Table 4 storage
     * mappings (which bring in the physical ops). */
-  private val seeds: Seq[(String, Expr)] = {
-    val storages = Map(
-      "MMM" -> Seq(Formats.csr("A", matA), Formats.csr("B", matB)),
-      "SumMMM" -> Seq(Formats.csc("A", matA), Formats.csr("B", matB)),
-      "BATAX" -> Seq(Formats.csr("A", matA), Formats.denseVec("X", vecX)),
-      "TTM" -> Seq(Formats.csf("A", tenA), Formats.csc("B", ttmB)),
-      "MTTKRP" -> Seq(Formats.csf("A", tenA), Formats.csr("B", mkB), Formats.csc("C", mkC)))
-    Kernels.all.toSeq.sortBy(_._1).flatMap { case (k, tp) =>
-      Seq(k -> tp, s"$k composed" -> Optimizer.compose(tp, storages(k)))
-    }
-  }
+  private val seeds: Seq[(String, Expr)] =
+    Table3.table4(Table3.Workload(matA, matB, vecX, 2.5, tenA, ttmB, mkB, mkC))
+      .sortBy(_.kernel).flatMap { p =>
+        Seq(p.kernel -> p.tp, s"${p.kernel} composed" -> Optimizer.compose(p.tp, p.storages))
+      }
 
   private val rules: Seq[Rule] = (Rules.logical ++ Rules.physicalStage).distinct
 

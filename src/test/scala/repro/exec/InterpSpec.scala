@@ -206,6 +206,15 @@ class InterpSpec extends AnyFunSuite {
     assert(coo == Seq((Vector(0L, 1L), 7.0), (Vector(1L, 1L), 8.0)))
   }
 
+  test("fromCoo inverts toCoo and adds rows with the same keys") {
+    val nested = run(sum(gen("i")("x", "V"))(dict(v("i"), n(1))(v("x"))), "V" -> denseVec(7, 8))
+    assert(Value.deepEq(Value.fromCoo(Value.toCoo(nested)), nested))
+    assert(Value.deepEq(Value.fromCoo(Seq((Vector(2L), 1.0), (Vector(2L), 2.5))),
+      hashVec(2L -> 3.5)))
+    assert(Value.fromCoo(Seq((Vector(), 1.5), (Vector(), 1.0))) == VNum(2.5))
+    assert(Value.fromCoo(Seq.empty) == VZero)
+  }
+
   test("zero handling: VZero is additive identity") {
     assert(Value.add(VZero, VNum(3)) == VNum(3))
     assert(Value.mul(VZero, VNum(3)) == VZero)

@@ -1,6 +1,8 @@
 package repro.relational
 
 import repro.{Oracle, SparkSpec}
+import repro.exec.{Value, VNum}
+import repro.kernels.Kernels
 import repro.storage.{CooMat, Coo3}
 
 /** Every relational kernel is checked against DuckDB running the same
@@ -66,10 +68,9 @@ class RelKernelsSpec extends SparkSpec {
   }
 
   test("MMM DataFrame result matches the kernel reference") {
-    import repro.exec.Value
     val rows = RelKernels.mmm(aDF, bDF).collect()
       .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
-    val ref = Value.toCoo(repro.kernels.Kernels.refMmm(a, b))
+    val ref = Value.toCoo(Kernels.refMmm(a, b))
       .map { case (ks, v) => ((ks(0), ks(1)), v) }.toMap
     assert(rows.keySet == ref.keySet)
     rows.foreach { case (k, v) => assert(math.abs(v - ref(k)) < 1e-9) }
@@ -80,10 +81,10 @@ class RelKernelsSpec extends SparkSpec {
     try {
       db.loadMatrix("A", a); db.loadMatrix("B", b); db.loadVector("X", x)
       db.loadTensor("A3", a3)
-      val (s, _) = db.timeQuery("SELECT SUM(v) AS v FROM (" + RelKernels.Sql.sumMmm + ")")
-      assert(math.abs(s - repro.kernels.Kernels.refSumMmm(a, b)) < 1e-6)
-      val (bx, _) = db.timeQuery("SELECT SUM(v) AS v FROM (" + RelKernels.Sql.batax(2.5) + ")")
-      assert(math.abs(bx - repro.baselines.Systems.Ref.batax(2.5, a, x)) < 1e-6)
+      assert(Value.deepEq(Value.fromCoo(db.query(RelKernels.Sql.sumMmm)),
+        VNum(Kernels.refSumMmm(a, b))))
+      assert(Value.deepEq(Value.fromCoo(db.query(RelKernels.Sql.batax(2.5))),
+        Kernels.refBatax(2.5, a, x)))
     } finally db.close()
   }
 
@@ -91,8 +92,8 @@ class RelKernelsSpec extends SparkSpec {
     val db = DuckKernels.open()
     try {
       db.loadTensor("A3", a3); db.loadMatrix("B", bM); db.loadMatrix("C", cM)
-      val (s, _) = db.timeQuery("SELECT SUM(v) AS v FROM (" + RelKernels.Sql.mttkrp + ")")
-      assert(math.abs(s - repro.baselines.Systems.Ref.mttkrp(a3, bM, cM)) < 1e-6)
+      assert(Value.deepEq(Value.fromCoo(db.query(RelKernels.Sql.mttkrp)),
+        Kernels.refMttkrp(a3, bM, cM)))
     } finally db.close()
   }
 }
