@@ -174,32 +174,79 @@ object Value {
     if (m.isEmpty) VZero else new VHashV(m)
   }
 
-  /** Deep equality on canonicalized content (tests only — not hot). */
-  def deepEq(a: Value, b: Value, eps: Double = 1e-9): Boolean = {
-    def toMap(v: Value): Either[Double, Map[Long, Value]] = v match {
-      case VZero   => Left(0.0)
-      case VNum(d) => Left(d)
-      case d: VDict =>
-        var m = Map.empty[Long, Value]
-        d.foreachEntry { (k, v) => if (v != VZero) m = m.updated(k, add(m.getOrElse(k, VZero), v)) }
-        Right(m.filter { case (_, v) => !isZeroish(v, eps) })
-    }
-    (toMap(a), toMap(b)) match {
-      case (Left(x), Left(y)) =>
-        (x == y) || math.abs(x - y) <= eps * math.max(1.0, math.max(x.abs, y.abs))
-      case (Right(x), Right(y)) =>
-        x.keySet == y.keySet && x.forall { case (k, v) => deepEq(v, y(k), eps) }
-      case (Left(x), Right(y)) => x == 0.0 && y.isEmpty
-      case (Right(x), Left(y)) => y == 0.0 && x.isEmpty
-    }
+  /** Deep equality on content. Two numbers are equal within `eps`,
+    * relative to the larger magnitude (absolute below 1). A dictionary
+    * entry within `eps` of zero counts as absent, and a scalar 0 equals a
+    * dictionary with no other entries. (Entries listed under one key would
+    * be summed first, but no dictionary representation lists a key twice,
+    * so each key is read with `get`.) */
+  def deepEq(a: Value, b: Value, eps: Double = 1e-9): Boolean = (a, b) match {
+    case (x: VDict, y: VDict) => dictEq(x, y, eps)
+    case (x: VDict, s) => asNum(s) == 0.0 && isZeroish(x, eps)
+    case (s, y: VDict) => asNum(s) == 0.0 && isZeroish(y, eps)
+    case (s, t) => close(asNum(s), asNum(t), eps)
   }
 
+  private def close(x: Double, y: Double, eps: Double): Boolean =
+    (x == y) || math.abs(x - y) <= eps * math.max(1.0, math.max(x.abs, y.abs))
+
+  /** Every key of `x` and of `y` holds equal entries, where an entry
+    * within `eps` of zero is the same as none. */
+  private def dictEq(x: VDict, y: VDict, eps: Double): Boolean = (x, y) match {
+    case (_: VDenseN | _: VHashN, _: VDenseN | _: VHashN) =>
+      forallNum(x)((k, d) => numEntryEq(d, numAt(y, k), eps)) &&
+        forallNum(y)((k, d) => numAt(x, k) != 0 || math.abs(d) <= eps)
+    case _ =>
+      var ok = true
+      x.foreachEntry((k, v) => if (ok && !entryEq(v, y.get(k), eps)) ok = false)
+      // keys of y that x has a nonzero entry for were compared above
+      y.foreachEntry((k, w) => if (ok && x.get(k) == VZero && !isZeroish(w, eps)) ok = false)
+      ok
+  }
+
+  private def entryEq(v: Value, w: Value, eps: Double): Boolean = (v, w) match {
+    case (p: VDict, q: VDict) => dictEq(p, q, eps)
+    case (p: VDict, s) => isZeroish(s, eps) && isZeroish(p, eps)
+    case (s, q: VDict) => isZeroish(s, eps) && isZeroish(q, eps)
+    case (s, t) => numEntryEq(asNum(s), asNum(t), eps)
+  }
+
+  private def numEntryEq(x: Double, y: Double, eps: Double): Boolean = {
+    val zx = math.abs(x) <= eps
+    val zy = math.abs(y) <= eps
+    if (zx || zy) zx && zy else close(x, y, eps)
+  }
+
+  private def numAt(d: VDict, k: Long): Double = d match {
+    case n: VDenseN => if (k >= 0 && k < n.a.length) n.a(k.toInt) else 0.0
+    case h: VHashN => h.m.getOrNull(k) // an absent key unboxes to 0.0
+    case _ => asNum(d.get(k))
+  }
+
+  private def forallNum(d: VDict)(f: (Long, Double) => Boolean): Boolean = d match {
+    case n: VDenseN =>
+      var i = 0
+      while (i < n.a.length) { if (!f(i.toLong, n.a(i))) return false; i += 1 }
+      true
+    case h: VHashN =>
+      var ok = true
+      h.m.foreachEntry((k, v) => if (ok && !f(k, v)) ok = false)
+      ok
+    case _ =>
+      var ok = true
+      d.foreachEntry((k, v) => if (ok && !f(k, asNum(v))) ok = false)
+      ok
+  }
+
+  /** Every entry of `v`, at every depth, is within `eps` of zero. */
   private def isZeroish(v: Value, eps: Double): Boolean = v match {
     case VZero   => true
     case VNum(d) => math.abs(d) <= eps
+    case d: VDenseN => forallNum(d)((_, x) => math.abs(x) <= eps)
+    case d: VHashN => forallNum(d)((_, x) => math.abs(x) <= eps)
     case d: VDict =>
       var z = true
-      d.foreachEntry { (_, v) => if (!isZeroish(v, eps)) z = false }
+      d.foreachEntry((_, x) => if (z && !isZeroish(x, eps)) z = false)
       z
   }
 
@@ -289,7 +336,9 @@ final class Acc {
         v match {
           case VNum(d) =>
             if (dense && k >= 0 && k < DenseCap) {
-              mode = DenseN; dn = new Array[Double](math.max(4, (k + 1).toInt)); dLen = 0
+              // a cleared accumulator reuses its zeroed array
+              if (dn == null) dn = new Array[Double](math.max(4, (k + 1).toInt))
+              mode = DenseN; dLen = 0
               growN((k + 1).toInt); dn(k.toInt) = d
             } else { mode = HashN; hn = LongMap.empty; hn.update(k, d) }
           case _ =>
@@ -301,11 +350,12 @@ final class Acc {
       case Scalar => throw new IllegalArgumentException("mixing scalar and dictionary in sum")
       case HashN =>
         v match {
-          case VNum(d) => hn.update(k, hn.getOrElse(k, 0.0) + d)
+          case VNum(d) => plusHashN(k, d)
           case _ => upgradeToHashV(); plusEntry(k, v, dense)
         }
       case HashV =>
-        hv.update(k, Value.add(hv.getOrElse(k, VZero), v))
+        val s = Value.add(hv.getOrElse(k, VZero), v)
+        if (s == VZero) hv.remove(k) else hv.update(k, s)
       case DenseN =>
         v match {
           case VNum(d) if k >= 0 && k < DenseCap =>
@@ -319,6 +369,21 @@ final class Acc {
           dv(k.toInt) = if (old == null) v else Value.add(old, v)
         } else { upgradeDenseVToHashV(); plusEntry(k, v, dense) }
     }
+  }
+
+  /** `plusEntry(k, VNum(d), dense)` without the box; a 0 adds nothing. */
+  def plusEntryN(k: Long, d: Double, dense: Boolean): Unit =
+    if (d != 0) {
+      if (mode == DenseN && k >= 0 && k < DenseCap) { growN((k + 1).toInt); dn(k.toInt) += d }
+      else if (mode == HashN) plusHashN(k, d)
+      else plusEntry(k, VNum(d), dense)
+    }
+
+  /** A hash entry that cancels to zero is removed, so hash modes hold
+    * only non-zero entries. */
+  private def plusHashN(k: Long, d: Double): Unit = {
+    val s = hn.getOrElse(k, 0.0) + d
+    if (s == 0) hn.remove(k) else hn.update(k, s)
   }
 
   private def upgradeToHashV(): Unit = {
@@ -339,17 +404,40 @@ final class Acc {
     dv = null; mode = HashV
   }
 
+  /** Empties the accumulator for another run. A dense array of numbers
+    * is zeroed and kept, since `result` copies it. */
+  def clear(): Unit = {
+    if (mode == DenseN) java.util.Arrays.fill(dn, 0, dLen, 0.0)
+    mode = Empty; num = 0.0; hn = null; hv = null; dv = null; dLen = 0
+  }
+
+  /** The sum so far; a dictionary whose entries all cancelled is [[VZero]]. */
   def result: Value = mode match {
     case Empty  => VZero
     case Scalar => if (num == 0) VZero else VNum(num)
     case HashN  => if (hn.isEmpty) VZero else new VHashN(hn)
     case HashV  => if (hv.isEmpty) VZero else new VHashV(hv)
-    case DenseN => new VDenseN(java.util.Arrays.copyOf(dn, dLen))
+    case DenseN => if (zeroN) VZero else new VDenseN(java.util.Arrays.copyOf(dn, dLen))
     case DenseV =>
       val a = java.util.Arrays.copyOf(dv, dLen)
+      var nonZero = false
       var i = 0
-      while (i < a.length) { if (a(i) == null) a(i) = VZero; i += 1 }
-      new VDenseV(a)
+      while (i < a.length) {
+        if (a(i) == null || a(i) == VZero) a(i) = VZero else nonZero = true
+        i += 1
+      }
+      if (nonZero) new VDenseV(a) else VZero
+  }
+
+  /** [[result]], but a dense array of numbers is lent as a view instead of
+    * copied: the value is valid until the next insert or `clear`. */
+  private[exec] def lend: Value =
+    if (mode == DenseN && !zeroN) new VView(new VDenseN(dn), 0, dLen) else result
+
+  private def zeroN: Boolean = {
+    var i = 0
+    while (i < dLen && dn(i) == 0) i += 1
+    i == dLen
   }
 }
 

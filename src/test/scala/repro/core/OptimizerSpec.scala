@@ -16,16 +16,7 @@ class OptimizerSpec extends AnyFunSuite {
     stage2 = repro.egraph.SatConfig(maxIters = 12, maxNodes = 9000, timeoutMs = 2500),
     rounds1 = 2, rounds2 = 3)
 
-  private val matA = CooMat.random(20, 20, 70, seed = 1)
-  private val matB = CooMat.random(20, 15, 50, seed = 2)
-  private val vecX = Array.tabulate(20)(i => if (i % 3 == 0) 0.0 else 0.5 + i * 0.1)
-  private val beta = 2.5
-  private val tenA = Coo3.random(8, 9, 10, 80, seed = 3)
-  private val matB3 = CooMat.random(12, 10, 40, seed = 4) // B(k,l) for TTM
-  private val mkB = CooMat.random(9, 6, 30, seed = 5)     // B(k,j) for MTTKRP
-  private val mkC = CooMat.random(10, 6, 35, seed = 6)    // C(l,j) for MTTKRP
-
-  private val w = Table3.Workload(matA, matB, vecX, beta, tenA, matB3, mkB, mkC)
+  private val w = OptimizerSpec.smallWorkload
 
   private def checkProgram(p: Table3.Program): Unit = {
     val name = s"${p.kernel}/${p.format}"
@@ -88,4 +79,17 @@ class OptimizerSpec extends AnyFunSuite {
     val naiveCost = cm.analyze(res.naive)._2
     assert(res.cost <= naiveCost * 1.01)
   }
+}
+
+object OptimizerSpec {
+  /** Small operands for every Table 3 kernel, quick to optimize and run. */
+  val smallWorkload: Table3.Workload = Table3.Workload(
+    a = CooMat.random(20, 20, 70, seed = 1),
+    b = CooMat.random(20, 15, 50, seed = 2),
+    x = Array.tabulate(20)(i => if (i % 3 == 0) 0.0 else 0.5 + i * 0.1),
+    beta = 2.5,
+    a3 = Coo3.random(8, 9, 10, 80, seed = 3),
+    bTtm = CooMat.random(12, 10, 40, seed = 4), // B(k,l) for TTM
+    bMk = CooMat.random(9, 6, 30, seed = 5),    // B(k,j) for MTTKRP
+    cMk = CooMat.random(10, 6, 35, seed = 6))   // C(l,j) for MTTKRP
 }

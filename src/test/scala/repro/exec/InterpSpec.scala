@@ -215,6 +215,43 @@ class InterpSpec extends AnyFunSuite {
     assert(Value.fromCoo(Seq.empty) == VZero)
   }
 
+  // The compiled engine keeps scalars unboxed; these pin that they still
+  // follow VZero's rules, for both engines.
+  private def bothEngines(e: Sugar.S, syms: (String, Value)*): Seq[Value] =
+    Seq(Interp.run(compile(e), syms.toMap), TreeInterp.run(compile(e), syms.toMap))
+
+  test("zero convention: a -0.0 read from a dense array is VZero, so 1 / x is +Infinity") {
+    val st = "V" -> denseVec(-0.0, 2)
+    val inf = VNum(Double.PositiveInfinity)
+    assert(bothEngines(SBin(BinOp.Div, 1, get("V", 0)), st) == Seq(inf, inf))
+    assert(bothEngines(sum(gen("i")("x", "V"))(iff(eqq(v("i"), 0))(SBin(BinOp.Div, 1, v("x")))), st) ==
+      Seq(inf, inf))
+    // a product with a zero factor is zero too, not -0.0
+    assert(bothEngines(SBin(BinOp.Div, 1, mul(-1, get("V", 0))), st) == Seq(inf, inf))
+  }
+
+  test("zero convention: a scalar sum of zeros is VZero") {
+    assert(bothEngines(sum(gen("i")("x", "V"))(v("x")), "V" -> denseVec(0, -0.0, 0)) == Seq(VZero, VZero))
+    assert(bothEngines(sum(gen("i")("x", "V"))(mul(v("x"), 2)), "V" -> denseVec(1.5, -1.5)) ==
+      Seq(VZero, VZero))
+  }
+
+  test("zero convention: a dictionary whose entries all cancel is VZero") {
+    val cancel = Seq(
+      sum(gen("i")("x", "V"))(dict(0)(v("x"))),
+      sum(gen("i")("x", "V"))(SDict(List(0), v("x"), phys = Phys.PDense)),
+      sum(gen("i")("x", "V"))(sum(gen("j")("y", "V"))(dict(v("j"), 1)(mul(v("x"), v("y"))))),
+      sum(gen("i")("x", "V"))(SDict(List(0), dict(0)(v("x")), phys = Phys.PDense)),
+      add(sum(gen("i")("x", "V"))(SDict(List(v("i")), dict(0)(v("x")), phys = Phys.PDense)),
+        sum(gen("i")("x", "V"))(SDict(List(v("i")), dict(0)(mul(-1, v("x"))), phys = Phys.PDense))))
+    val st = "V" -> hashVec(0L -> 2.0, 1L -> -2.0)
+    cancel.foreach { e =>
+      bothEngines(e, st).foreach(r => assert(r == VZero && !Value.truthy(r), r))
+      // so `if (d)` on it does not take the branch
+      assert(bothEngines(iff(e)(1), st) == Seq(VZero, VZero))
+    }
+  }
+
   test("zero handling: VZero is additive identity") {
     assert(Value.add(VZero, VNum(3)) == VNum(3))
     assert(Value.mul(VZero, VNum(3)) == VZero)
