@@ -150,7 +150,7 @@ object Rules {
       r(Op.If, RVar("c1"), r(Op.If, RVar("c2"), RVar("e")))),
   )
 
-  // ---- distributivity / factorization (D1-D4) ------------------------------
+  // ---- distributivity / factorization (D1-D3) ------------------------------
   private val factor = Seq(
     simple("D1l", pb(Add, pb(Mul, pv("a"), pv("b")), pb(Mul, pv("a"), pv("c"))),
       rb(Mul, RVar("a"), rb(Add, RVar("b"), RVar("c")))),
@@ -168,6 +168,10 @@ object Rules {
       cond = fvAvoid("b", Set(0, 1))),
     simple("D3r", pb(Mul, p(Op.Sum, pv("e1"), pv("a")), pv("b")),
       r(Op.Sum, RVar("e1"), rb(Mul, RVar("a"), RRemap("b", shiftF(+2))))),
+  )
+
+  // ---- sums into dictionary values (D4) ------------------------------------
+  private val sumIntoDict = Seq(
     // D4: sum(<k,v> in e1) {k2 -> v2} -> {k2' -> sum(<k,v> in e1) v2}  (k2 inv.)
     simple("D4l", p(Op.Sum, pv("e1"), pdict("d", pv("k2"), pv("v2"))),
       RNodeF(dropUnique("d"), RRemap("k2", shiftF(-2)),
@@ -178,7 +182,7 @@ object Rules {
         RNodeF(dropUnique("d"), RRemap("k2", shiftF(+2)), RVar("v2")))),
   )
 
-  // ---- fusion (F1-F4, unnesting, LICM, interchange, let, sub-arrays) -------
+  // ---- fusion (F1-F4, unnesting, let inlining) -----------------------------
   private val fusion = Seq(
     // F1: sum(<k,v> in e1) if (k == e2) then e3
     //   -> let k = e2' in let v = e1'(k) in e3        (k,v ∉ FV(e2))
@@ -258,6 +262,10 @@ object Rules {
           Some(ctx.eg.addExpr(Expr.subst(body, 0, bound)))
         else None
       }),
+  )
+
+  // ---- loop-invariant code motion and loop interchange ---------------------
+  private val loopMotion = Seq(
     // LICM: sum(<k,v> in e1) {k2 -> a * t} with t an invariant sum
     //   -> let t' in sum(<k,v> in e1') {k2' -> a' * %2}
     simple("LICM",
@@ -331,7 +339,7 @@ object Rules {
 
   /** Stage-1 rules: storage-independent logical optimization. */
   val logical: Seq[Rule] =
-    assocComm ++ simplif ++ factor ++ fusion ++ dictionary
+    assocComm ++ simplif ++ factor ++ sumIntoDict ++ fusion ++ loopMotion ++ dictionary
 
   /** The Taco model (Sec. 6's baseline): storage-aware loop fusion and
     * output assembly, but NO cost-based factorization — excludes the
@@ -339,10 +347,7 @@ object Rules {
     * interchange (D4, plain dict output assembly, stays: it models how
     * Taco writes results through output indices). */
   val tacoLike: Seq[Rule] =
-    (assocComm ++ simplif ++
-      factor.filter(r => r.name.startsWith("D4")) ++
-      fusion.filterNot(r => r.name == "LICM" || r.name == "X1") ++
-      dictionary) ++ physical
+    assocComm ++ simplif ++ sumIntoDict ++ fusion ++ dictionary ++ physical
 
   /** Stage-2 adds the physical lowering rules. */
   val physicalStage: Seq[Rule] = logical ++ physical

@@ -175,7 +175,8 @@ object Value {
   }
 
   /** Deep equality on content. Two numbers are equal within `eps`,
-    * relative to the larger magnitude (absolute below 1). A dictionary
+    * relative to the larger magnitude (absolute below 1); an infinity
+    * equals only the same infinity. A dictionary
     * entry within `eps` of zero counts as absent, and a scalar 0 equals a
     * dictionary with no other entries. (Entries listed under one key would
     * be summed first, but no dictionary representation lists a key twice,
@@ -187,8 +188,10 @@ object Value {
     case (s, t) => close(asNum(s), asNum(t), eps)
   }
 
+  // against an infinity the relative bound is infinite, so it is excluded
   private def close(x: Double, y: Double, eps: Double): Boolean =
-    (x == y) || math.abs(x - y) <= eps * math.max(1.0, math.max(x.abs, y.abs))
+    (x == y) || !x.isInfinite && !y.isInfinite &&
+      math.abs(x - y) <= eps * math.max(1.0, math.max(x.abs, y.abs))
 
   /** Every key of `x` and of `y` holds equal entries, where an entry
     * within `eps` of zero is the same as none. */
@@ -259,9 +262,8 @@ object Value {
       d.foreachEntry { (k, v) =>
         toCoo(v).foreach { case (ks, d) => buf += ((k +: ks, d)) }
       }
-      // merge duplicate coordinates (e.g. from VSingle additions)
-      buf.result().groupBy(_._1).map { case (ks, es) => (ks, es.map(_._2).sum) }
-        .filter(_._2 != 0.0).toSeq.sortBy(_._1.mkString(","))
+      // no representation lists a key twice, so the rows are distinct
+      buf.result().sortBy(_._1.mkString(","))
   }
 
   /** The inverse of `toCoo`: rows `(keys..., value)` as nested hash

@@ -7,28 +7,46 @@ object Bench {
     * the last result, for validation. */
   def timeMedian[A](reps: Int = 5)(f: => A): (A, Double) = {
     f; f; f // warmup (JIT)
-    val times = new Array[Double](reps)
-    var last: A = null.asInstanceOf[A]
-    var i = 0
-    while (i < reps) {
-      val t0 = System.nanoTime()
-      last = f
-      times(i) = (System.nanoTime() - t0) / 1e6
-      i += 1
-    }
-    java.util.Arrays.sort(times)
-    (last, times(reps / 2))
+    median(reps, 0.0)(f)
   }
 
-  /** Adaptive timing: one warmup-and-measure run; if it is fast, take
-    * the median of three more. Keeps slow interpreter configurations
-    * from quadrupling bench wall-clock. */
+  /** Median wall-clock of at least `reps` runs that together take at
+    * least `minMs`, plus the last result. */
+  private def median[A](reps: Int, minMs: Double)(f: => A): (A, Double) = {
+    val times = scala.collection.mutable.ArrayBuffer.empty[Double]
+    var last: A = null.asInstanceOf[A]
+    val start = System.nanoTime()
+    while (times.size < reps || (System.nanoTime() - start) / 1e6 < minMs) {
+      val t0 = System.nanoTime()
+      last = f
+      times += (System.nanoTime() - t0) / 1e6
+    }
+    (last, times.sorted.apply(times.size / 2))
+  }
+
+  /** Adaptive timing. A first run over 1 s is the time, which keeps slow
+    * interpreter configurations from multiplying bench wall-clock. A
+    * faster cell runs in rounds (five runs and 100 ms at least) until five
+    * rounds in a row fail to lower the best round median by 5%, so the JIT
+    * has compiled what the cell runs, or until 3 s have passed; the time
+    * is the best round median. */
   def timeAdaptive[A](f: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val first = f
     val t1 = (System.nanoTime() - t0) / 1e6
     if (t1 > 1000.0) (first, t1)
-    else timeMedian(5)(f)
+    else {
+      val deadline = t0 + 3000L * 1000000L
+      var last = first
+      var best = Double.MaxValue
+      var stale = 0
+      while (stale < 5 && System.nanoTime() < deadline) {
+        val (r, m) = median(5, 100.0)(f)
+        last = r
+        if (m < best * 0.95) { best = m; stale = 0 } else stale += 1
+      }
+      (last, best)
+    }
   }
 
   /** Fixed-width ASCII table. */

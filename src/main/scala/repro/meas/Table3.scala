@@ -1,6 +1,6 @@
 package repro.meas
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.exec._
 import repro.kernels.Kernels
@@ -214,45 +214,23 @@ object Table3 {
       out ++= libraryCells(k)
     }
 
-    // ---- DuckDB (real, via JDBC) ------------------------------------------
-    log("DuckDB")
+    // ---- DuckDB (real, via JDBC) and Spark SQL (our extra relational row):
+    // both run each kernel's one SQL statement over the same COO relations
+    val relations = RelKernels.relations(w)
+    val queries = RelKernels.Sql.byKernel(w.beta)
+    def relational(system: String)(query: String => Seq[(Vector[Long], Double)]): Unit = {
+      log(system)
+      grid.map(_.kernel).distinct.foreach { k =>
+        out += timed(k, system, coo(k))(query(queries(k)))(Value.fromCoo)
+      }
+    }
     locally {
       val db = DuckKernels.open()
-      def duck(kernel: String, sql: String): Unit =
-        out += timed(kernel, "DuckDB", coo(kernel))(db.query(sql))(Value.fromCoo)
-      try {
-        db.loadMatrix("A", w.a); db.loadMatrix("B", w.b)
-        db.loadVector("X", w.x)
-        db.loadTensor("A3", w.a3)
-        duck("MMM", RelKernels.Sql.mmm)
-        duck("SumMMM", RelKernels.Sql.sumMmm)
-        duck("BATAX", RelKernels.Sql.batax(w.beta))
-        db.conn.createStatement().execute("DROP TABLE B"); db.loadMatrix("B", w.bTtm)
-        duck("TTM", RelKernels.Sql.ttm)
-        db.conn.createStatement().execute("DROP TABLE B"); db.loadMatrix("B", w.bMk)
-        db.loadMatrix("C", w.cMk)
-        duck("MTTKRP", RelKernels.Sql.mttkrp)
-      } finally db.close()
+      try { db.load(relations); relational("DuckDB")(db.query) } finally db.close()
     }
-
-    // ---- Spark SQL (our extra relational row) ------------------------------
     spark.foreach { sp =>
-      log("SparkSQL")
-      val aDF = RelKernels.matrixDF(sp, w.a).cache(); aDF.count()
-      val bDF = RelKernels.matrixDF(sp, w.b).cache(); bDF.count()
-      val xDF = RelKernels.vectorDF(sp, w.x).cache(); xDF.count()
-      val a3DF = RelKernels.tensorDF(sp, w.a3).cache(); a3DF.count()
-      val btDF = RelKernels.matrixDF(sp, w.bTtm).cache(); btDF.count()
-      val bmDF = RelKernels.matrixDF(sp, w.bMk).cache(); bmDF.count()
-      val cmDF = RelKernels.matrixDF(sp, w.cMk).cache(); cmDF.count()
-      def sparkSql(kernel: String, query: => DataFrame): Unit =
-        out += timed(kernel, "SparkSQL", coo(kernel))(query.collect())(rows =>
-          Value.fromCoo(rows.toSeq.map(RelKernels.coo)))
-      sparkSql("MMM", RelKernels.mmm(aDF, bDF))
-      sparkSql("SumMMM", RelKernels.sumMmm(aDF, bDF))
-      sparkSql("BATAX", RelKernels.batax(w.beta, aDF, xDF))
-      sparkSql("TTM", RelKernels.ttm(a3DF, btDF))
-      sparkSql("MTTKRP", RelKernels.mttkrp(a3DF, bmDF, cmDF))
+      RelKernels.register(sp, relations)
+      relational("SparkSQL")(q => RelKernels.rows(sp.sql(q)))
     }
 
     out.result()

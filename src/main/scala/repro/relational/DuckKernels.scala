@@ -1,50 +1,27 @@
 package repro.relational
 
 import java.sql.{Connection, DriverManager}
-import repro.storage.{CooMat, Coo3}
+import repro.relational.RelKernels.Relation
 
 /** The real DuckDB baseline of Sec. 6, via the in-process JDBC driver:
-  * tensors loaded as COO relations, kernels run as aggregate-join SQL.
+  * tensors loaded as COO relations, kernels run as `RelKernels.Sql`.
   * Loading is excluded from timing, matching the paper's methodology. */
 object DuckKernels {
 
-  final class Db private[DuckKernels] (val conn: Connection) extends AutoCloseable {
-    def loadMatrix(name: String, m: CooMat): Unit = {
+  final class Db private[DuckKernels] (conn: Connection) extends AutoCloseable {
+    /** Create one table `name(i, j, …, v)` per relation and insert its rows. */
+    def load(relations: Map[String, Relation]): Unit = relations.foreach { case (name, r) =>
+      val cols = r.keys.map(c => s"$c BIGINT") :+ "v DOUBLE"
       val st = conn.createStatement()
-      st.execute(s"CREATE TABLE $name (i BIGINT, j BIGINT, v DOUBLE)")
+      st.execute(s"CREATE TABLE $name (${cols.mkString(", ")})")
       st.close()
-      val ps = conn.prepareStatement(s"INSERT INTO $name VALUES (?, ?, ?)")
-      var c = 0
-      m.entries.foreach { case (i, j, v) =>
-        ps.setLong(1, i.toLong); ps.setLong(2, j.toLong); ps.setDouble(3, v)
-        ps.addBatch(); c += 1
-        if (c % 10000 == 0) ps.executeBatch()
-      }
-      ps.executeBatch(); ps.close()
-    }
-
-    def loadTensor(name: String, t: Coo3): Unit = {
-      val st = conn.createStatement()
-      st.execute(s"CREATE TABLE $name (i BIGINT, j BIGINT, k BIGINT, v DOUBLE)")
-      st.close()
-      val ps = conn.prepareStatement(s"INSERT INTO $name VALUES (?, ?, ?, ?)")
-      var c = 0
-      t.entries.foreach { case (i, j, k, v) =>
-        ps.setLong(1, i.toLong); ps.setLong(2, j.toLong)
-        ps.setLong(3, k.toLong); ps.setDouble(4, v)
-        ps.addBatch(); c += 1
-        if (c % 10000 == 0) ps.executeBatch()
-      }
-      ps.executeBatch(); ps.close()
-    }
-
-    def loadVector(name: String, x: Array[Double]): Unit = {
-      val st = conn.createStatement()
-      st.execute(s"CREATE TABLE $name (i BIGINT, v DOUBLE)")
-      st.close()
-      val ps = conn.prepareStatement(s"INSERT INTO $name VALUES (?, ?)")
-      x.zipWithIndex.foreach { case (v, i) =>
-        ps.setLong(1, i.toLong); ps.setDouble(2, v); ps.addBatch()
+      val ps = conn.prepareStatement(
+        s"INSERT INTO $name VALUES (${Seq.fill(cols.size)("?").mkString(", ")})")
+      r.rows.iterator.zipWithIndex.foreach { case ((ks, v), n) =>
+        ks.indices.foreach(c => ps.setLong(c + 1, ks(c)))
+        ps.setDouble(cols.size, v)
+        ps.addBatch()
+        if ((n + 1) % 10000 == 0) ps.executeBatch()
       }
       ps.executeBatch(); ps.close()
     }

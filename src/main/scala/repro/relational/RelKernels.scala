@@ -1,107 +1,88 @@
 package repro.relational
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
+import repro.meas.Table3
 import repro.storage.{CooMat, Coo3}
+import scala.jdk.CollectionConverters._
 
-/** The relational baseline: tensors as COO relations, kernels as
-  * aggregate-join queries over the Spark DataFrame (Catalyst) API — the
-  * Spark analogue of the paper's DuckDB baseline. Catalyst picks binary
-  * join plans and does not factorize or push aggregates past joins,
-  * which is exactly the behavior Sec. 6.1 attributes to DuckDB on
+/** The relational baseline of Sec. 6: tensors as COO relations, each
+  * kernel as one aggregate-join SQL statement (`Sql.byKernel`). DuckDB
+  * (`DuckKernels`) and Spark SQL run the same text over the same
+  * relations. Both pick binary join plans and neither pushes the sum past
+  * a join, which is the behavior Sec. 6.1 attributes to DuckDB on
   * ΣMMM/BATAX/MTTKRP.
-  *
-  * Matrices are relations (i, j, v); rank-3 tensors (i, j, k, v).
-  * Every kernel aliases its output columns so `repro.Oracle` can diff
-  * the result against DuckDB running the same SQL.
   */
 object RelKernels {
 
-  def matrixDF(spark: SparkSession, m: CooMat): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(m.entries.toSeq.map(e => (e._1.toLong, e._2.toLong, e._3)))
-      .toDF("i", "j", "v")
+  /** A tensor as a relation: one BIGINT key column per dimension, named
+    * `i`, `j`, `k` in order, then the DOUBLE value column `v`. Rows are
+    * (key columns, value), the shape `Value.fromCoo` reads. */
+  final case class Relation(rank: Int, rows: Seq[(Vector[Long], Double)]) {
+    def keys: Seq[String] = Seq("i", "j", "k").take(rank)
   }
 
-  def tensorDF(spark: SparkSession, t: Coo3): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(t.entries.toSeq.map(e => (e._1.toLong, e._2.toLong, e._3.toLong, e._4)))
-      .toDF("i", "j", "k", "v")
-  }
+  def matrix(m: CooMat): Relation =
+    Relation(2, m.entries.toSeq.map { case (i, j, v) => (Vector(i.toLong, j.toLong), v) })
 
-  def vectorDF(spark: SparkSession, x: Array[Double]): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(x.toSeq.zipWithIndex.map { case (v, i) => (i.toLong, v) })
-      .toDF("i", "v")
-  }
+  def tensor(t: Coo3): Relation =
+    Relation(3, t.entries.toSeq.map { case (i, j, k, v) => (Vector(i.toLong, j.toLong, k.toLong), v) })
 
-  /** A result row as (key columns, value), the shape of
-    * `DuckKernels.Db.query`'s rows. An empty `SUM` is 0. */
-  def coo(r: Row): (Vector[Long], Double) = {
-    val v = r.length - 1
-    (Vector.tabulate(v)(r.getLong), if (r.isNullAt(v)) 0.0 else r.getDouble(v))
-  }
+  /** A dense vector, every index a row (zeros too). */
+  def vector(x: Array[Double]): Relation =
+    Relation(1, x.toSeq.zipWithIndex.map { case (v, i) => (Vector(i.toLong), v) })
 
-  /** MMM: Q(i,j) = Σ_k A(i,k)·B(k,j). */
-  def mmm(a: DataFrame, b: DataFrame): DataFrame = {
-    val aa = a.as("a"); val bb = b.as("b")
-    aa.join(bb, col("a.j") === col("b.i"))
-      .groupBy(col("a.i").as("i"), col("b.j").as("j"))
-      .agg(sum(col("a.v") * col("b.v")).as("v"))
-  }
+  /** Every operand of `w`, under the name its kernels' SQL reads. TTM's B
+    * is `BT` and MTTKRP's B is `BM`, so each operand has its own table. */
+  def relations(w: Table3.Workload): Map[String, Relation] = Map(
+    "A" -> matrix(w.a), "B" -> matrix(w.b), "X" -> vector(w.x), "A3" -> tensor(w.a3),
+    "BT" -> matrix(w.bTtm), "BM" -> matrix(w.bMk), "C" -> matrix(w.cMk))
 
-  /** ΣMMM: Q() = Σ A·B — the aggregate is NOT pushed past the join. */
-  def sumMmm(a: DataFrame, b: DataFrame): DataFrame = {
-    val aa = a.as("a"); val bb = b.as("b")
-    aa.join(bb, col("a.j") === col("b.i"))
-      .agg(sum(col("a.v") * col("b.v")).as("v"))
-  }
-
-  /** BATAX: Q(j) = Σ_{i,k} β·A(i,j)·A(i,k)·X(k) — a binary self-join
-    * plan with a large intermediate, as a relational optimizer picks. */
-  def batax(beta: Double, a: DataFrame, x: DataFrame): DataFrame = {
-    val a1 = a.as("a1"); val a2 = a.as("a2"); val xx = x.as("x")
-    a1.join(a2, col("a1.i") === col("a2.i"))
-      .join(xx, col("a2.j") === col("x.i"))
-      .groupBy(col("a1.j").as("j"))
-      .agg(sum(lit(beta) * col("a1.v") * col("a2.v") * col("x.v")).as("v"))
-  }
-
-  /** TTM: Q(i,j,k) = Σ_l A(i,j,l)·B(k,l). Tensor relation columns
-    * (i,j,k,v) stand for (i, j, l, value); B's (i,j) for (k, l). */
-  def ttm(a: DataFrame, b: DataFrame): DataFrame = {
-    val aa = a.as("a"); val bb = b.as("b")
-    aa.join(bb, col("a.k") === col("b.j"))
-      .groupBy(col("a.i").as("i"), col("a.j").as("j"), col("b.i").as("k"))
-      .agg(sum(col("a.v") * col("b.v")).as("v"))
-  }
-
-  /** MTTKRP: Q(i,j) = Σ_{k,l} A(i,k,l)·B(k,j)·C(l,j). A's columns
-    * (i,j,k) stand for (i, k, l); B's (i,j) for (k,j); C's for (l,j). */
-  def mttkrp(a: DataFrame, b: DataFrame, c: DataFrame): DataFrame = {
-    val aa = a.as("a"); val bb = b.as("b"); val cc = c.as("c")
-    aa.join(bb, col("a.j") === col("b.i"))
-      .join(cc, col("a.k") === col("c.i") && col("b.j") === col("c.j"))
-      .groupBy(col("a.i").as("i"), col("b.j").as("j"))
-      .agg(sum(col("a.v") * col("b.v") * col("c.v")).as("v"))
-  }
-
-  /** The equivalent SQL per kernel, for the DuckDB oracle/baseline. */
+  /** The one SQL statement of each kernel, keyed as `Kernels.all`. Rank-3
+    * columns (i, j, k) stand for the kernel's own index names: TTM's A
+    * holds (i, j, l) and BT (k, l); MTTKRP's A holds (i, k, l), BM (k, j)
+    * and C (l, j). */
   object Sql {
-    val mmm: String =
-      "SELECT a.i AS i, b.j AS j, SUM(a.v * b.v) AS v " +
-      "FROM A a JOIN B b ON a.j = b.i GROUP BY a.i, b.j"
-    val sumMmm: String =
-      "SELECT SUM(a.v * b.v) AS v FROM A a JOIN B b ON a.j = b.i"
-    def batax(beta: Double): String =
-      s"SELECT a1.j AS j, SUM($beta * a1.v * a2.v * x.v) AS v " +
-      "FROM A a1 JOIN A a2 ON a1.i = a2.i JOIN X x ON a2.j = x.i GROUP BY a1.j"
-    val ttm: String =
-      "SELECT a.i AS i, a.j AS j, b.i AS k, SUM(a.v * b.v) AS v " +
-      "FROM A3 a JOIN B b ON a.k = b.j GROUP BY a.i, a.j, b.i"
-    val mttkrp: String =
-      "SELECT a.i AS i, b.j AS j, SUM(a.v * b.v * c.v) AS v " +
-      "FROM A3 a JOIN B b ON a.j = b.i " +
-      "JOIN C c ON a.k = c.i AND b.j = c.j GROUP BY a.i, b.j"
+    def byKernel(beta: Double): Map[String, String] = Map(
+      "MMM" ->
+        ("SELECT a.i AS i, b.j AS j, SUM(a.v * b.v) AS v " +
+         "FROM A a JOIN B b ON a.j = b.i GROUP BY a.i, b.j"),
+      "SumMMM" ->
+        "SELECT SUM(a.v * b.v) AS v FROM A a JOIN B b ON a.j = b.i",
+      "BATAX" ->
+        (s"SELECT a1.j AS j, SUM($beta * a1.v * a2.v * x.v) AS v " +
+         "FROM A a1 JOIN A a2 ON a1.i = a2.i JOIN X x ON a2.j = x.i GROUP BY a1.j"),
+      "TTM" ->
+        ("SELECT a.i AS i, a.j AS j, b.i AS k, SUM(a.v * b.v) AS v " +
+         "FROM A3 a JOIN BT b ON a.k = b.j GROUP BY a.i, a.j, b.i"),
+      "MTTKRP" ->
+        ("SELECT a.i AS i, b.j AS j, SUM(a.v * b.v * c.v) AS v " +
+         "FROM A3 a JOIN BM b ON a.j = b.i " +
+         "JOIN C c ON a.k = c.i AND b.j = c.j GROUP BY a.i, b.j"))
   }
+
+  // ---- Spark SQL -------------------------------------------------------------
+
+  def dataFrame(spark: SparkSession, r: Relation): DataFrame = {
+    val schema = StructType(r.keys.map(StructField(_, LongType, nullable = false)) :+
+      StructField("v", DoubleType, nullable = false))
+    spark.createDataFrame(r.rows.map { case (ks, v) => Row.fromSeq(ks :+ v) }.asJava, schema)
+  }
+
+  /** Register each relation as a cached, materialized temp view, so that
+    * a query's time excludes loading, as DuckDB's does. */
+  def register(spark: SparkSession, relations: Map[String, Relation]): Unit =
+    relations.foreach { case (name, r) =>
+      val df = dataFrame(spark, r).cache()
+      df.count()
+      df.createOrReplaceTempView(name)
+    }
+
+  /** Collect `df`'s rows as `DuckKernels.Db.query` fetches them: the last
+    * column is the value, every other one a key. An empty `SUM` is 0. */
+  def rows(df: DataFrame): Vector[(Vector[Long], Double)] =
+    df.collect().iterator.map { r =>
+      val v = r.length - 1
+      (Vector.tabulate(v)(r.getLong), if (r.isNullAt(v)) 0.0 else r.getDouble(v))
+    }.toVector
 }

@@ -285,6 +285,20 @@ class RulesSpec extends AnyFunSuite {
     assert(Rules.count >= 40 && Rules.count <= 60, s"got ${Rules.count}")
   }
 
+  // Rule order sets the e-graph's union order, so the stages must keep it.
+  test("each rule set lists its rules in a fixed order") {
+    val ac = "A1l A1r C1 AAdd C2 CAnd A2l A2r A3l A3r MulLoopL MulLoopR A4l A4r"
+    val simplif = "L1a L1b L2a L2b L3a L3b L5 L6 EqRefl IfT IfF Fold IfIf1 IfIf2"
+    val fusion = "F1 F1r F1s F2 F3 U1 F4 LetInline"
+    val dictionary = "T1 T2 T3 T4 T5 T6 T8 T9 T7"
+    val physical = "PhysDense PhysHash S1"
+    val logical = s"$ac $simplif D1l D1r D2l D2r D3l D3r D4l D4r $fusion LICM X1 $dictionary"
+    assert(Rules.logical.map(_.name).mkString(" ") == logical)
+    assert(Rules.physicalStage.map(_.name).mkString(" ") == s"$logical $physical")
+    assert(Rules.tacoLike.map(_.name).mkString(" ") ==
+      s"$ac $simplif D4l D4r $fusion $dictionary $physical")
+  }
+
   test("rule names are unique") {
     val names = Rules.all.map(_.name)
     assert(names.distinct.size == names.size)

@@ -21,6 +21,12 @@ class ValueSpec extends AnyFunSuite {
     ("eps is relative above 1", VNum(1e6), VNum(1e6 + 5e-4), true),
     ("beyond relative eps", VNum(1e6), VNum(1e6 + 2e-3), false),
     ("infinities", VNum(Double.PositiveInfinity), VNum(Double.PositiveInfinity), true),
+    ("infinities of opposite sign", VNum(Double.PositiveInfinity), VNum(Double.NegativeInfinity), false),
+    ("an infinity and a number", VNum(Double.PositiveInfinity), VNum(1), false),
+    ("an infinity and a number in a dictionary entry", hash(3L -> Double.PositiveInfinity),
+      hash(3L -> 1.0), false),
+    ("infinities of opposite sign in a nested entry", nested(3L -> VNum(Double.PositiveInfinity)),
+      nested(3L -> VNum(Double.NegativeInfinity)), false),
     ("NaN equals nothing", VNum(Double.NaN), VNum(Double.NaN), false),
     ("zero and VZero", VZero, VNum(0), true),
     ("tiny scalar and VZero", VNum(1e-10), VZero, true),

@@ -1,46 +1,41 @@
 package repro.spark
 
 import repro.SparkSpec
+import repro.core.Expr
 import repro.exec.Value
 import repro.kernels.Kernels
 import repro.relational.RelKernels
 import repro.storage.CooMat
 
 /** Distributed STOREL: per-partition CSR construction at executor level
-  * with the broadcast optimized plan. Result must match the single-node
-  * reference exactly. */
+  * with the broadcast optimized plan. Its result must `deepEq` the
+  * single-node reference. */
 class SparkStorelSpec extends SparkSpec {
 
   private lazy val a = CooMat.random(120, 90, 900, seed = 31)
   private lazy val x = Array.tabulate(90)(i => 0.2 + (i % 5) * 0.1)
   private val beta = 1.75
 
+  private lazy val coo = RelKernels.dataFrame(spark, RelKernels.matrix(a))
+
+  private def run(partitions: Int, plan: Option[Expr] = None): Value =
+    Value.fromCoo(RelKernels.rows(
+      SparkStorel.bataxDistributed(spark, coo, x, beta, partitions, plan)))
+
   test("distributed BATAX matches the single-node reference") {
-    val coo = RelKernels.matrixDF(spark, a)
-    val out = SparkStorel.bataxDistributed(spark, coo, x, beta, partitions = 6)
-      .collect().map(r => (r.getLong(0), r.getDouble(1))).toMap
-    val ref = Value.toCoo(Kernels.refBatax(beta, a, x))
-      .map { case (ks, v) => (ks.head, v) }.toMap
-    assert(out.keySet == ref.keySet)
-    out.foreach { case (j, v) => assert(math.abs(v - ref(j)) < 1e-6, s"j=$j") }
+    assert(Value.deepEq(run(6), Kernels.refBatax(beta, a, x)))
   }
 
   test("distributed BATAX is partition-count invariant") {
-    val coo = RelKernels.matrixDF(spark, a)
-    val plan = SparkStorel.bataxPlan(avgSeg = 8, rowsPerPartition = 40, nCols = 90)
-    def run(p: Int): Map[Long, Double] =
-      SparkStorel.bataxDistributed(spark, coo, x, beta, p, Some(plan))
-        .collect().map(r => (r.getLong(0), r.getDouble(1))).toMap
-    val r2 = run(2); val r8 = run(8)
-    assert(r2.keySet == r8.keySet)
-    r2.foreach { case (j, v) => assert(math.abs(v - r8(j)) < 1e-6) }
+    val plan = Some(SparkStorel.bataxPlan(avgSeg = 8, rowsPerPartition = 40, nCols = 90))
+    assert(Value.deepEq(run(2, plan), run(8, plan)))
   }
 
   test("the symbolic per-partition plan is itself optimized (no naive shape)") {
     val plan = SparkStorel.bataxPlan(avgSeg = 8, rowsPerPartition = 50, nCols = 90)
     // the optimized plan must be storage-fused: it reads the physical
     // arrays directly rather than materializing the logical tensor first
-    val syms = repro.core.Expr.syms(plan)
+    val syms = Expr.syms(plan)
     assert(syms.contains("A_idx2") && syms.contains("A_val"))
     assert(!syms.contains("A"), "logical tensor symbol should be composed away")
   }
