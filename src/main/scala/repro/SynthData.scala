@@ -13,7 +13,6 @@ object SynthData {
     * coordinates, deterministic in the seed. */
   def sparseMatrix(spark: SparkSession, m: Long, n: Long, nnz: Long,
                    seed: Long = 7): DataFrame = {
-    import spark.implicits._
     spark.range((nnz * 1.25).toLong + 8).select(
       (rand(seed)     * m).cast(LongType) as "i",
       (rand(seed + 1) * n).cast(LongType) as "j",
@@ -24,7 +23,6 @@ object SynthData {
   /** Sparse rank-3 tensor as a COO relation (i, j, k, v). */
   def sparseTensor3(spark: SparkSession, d1: Long, d2: Long, d3: Long,
                     nnz: Long, seed: Long = 8): DataFrame = {
-    import spark.implicits._
     spark.range((nnz * 1.25).toLong + 8).select(
       (rand(seed)     * d1).cast(LongType) as "i",
       (rand(seed + 1) * d2).cast(LongType) as "j",

@@ -40,10 +40,11 @@ object BinOp {
     def apply(x: Double, y: Double) = compactBits(whole(x) >> 1).toDouble
   }
 
-  /** `d` as a whole number; throws if it has a fractional part. */
+  /** `d` as a whole number; throws if it has a fractional part (not with
+    * `require`, whose by-name message allocates a closure per call). */
   def whole(d: Double): Long = {
     val l = d.toLong
-    require(l.toDouble == d, s"expected integer, got $d")
+    if (l.toDouble != d) throw new IllegalArgumentException(s"requirement failed: expected integer, got $d")
     l
   }
 

@@ -25,17 +25,10 @@ object Phys {
   */
 sealed trait Expr {
   /** AST size — the tie-breaker cost for the smallest-term extractor. */
-  lazy val size: Int = this match {
-    case Num(_) | Vr(_) | Sym(_)  => 1
-    case Bin(_, a, b)             => 1 + a.size + b.size
-    case IfThen(c, t)             => 1 + c.size + t.size
-    case Let(b, e)                => 1 + b.size + e.size
-    case Sum(c, b)                => 1 + c.size + b.size
-    case Dict(k, v, _, _)         => 1 + k.size + v.size
-    case Get(d, k)                => 1 + d.size + k.size
-    case Rng(a, b)                => 1 + a.size + b.size
-    case SubArr(a, l, h)          => 1 + a.size + l.size + h.size
-    case Merge(l, r, b)           => 1 + l.size + r.size + b.size
+  lazy val size: Int = {
+    var n = 1
+    Expr.mapChildren(this) { (c, _) => n += c.size; c }
+    n
   }
 }
 
@@ -74,45 +67,40 @@ final case class Merge(left: Expr, right: Expr, body: Expr) extends Expr
 object Expr {
   import BinOp._
 
-  /** Number of variables bound by each construct, per child position.
-    * Children are listed in the same order as the case-class fields. */
-  def binders(e: Expr): List[(Expr, Int)] = e match {
-    case Num(_) | Vr(_) | Sym(_) => Nil
-    case Bin(_, a, b)            => List((a, 0), (b, 0))
-    case IfThen(c, t)            => List((c, 0), (t, 0))
-    case Let(b, e2)              => List((b, 0), (e2, 1))
-    case Sum(c, b)               => List((c, 0), (b, 2))
-    case Dict(k, v, _, _)        => List((k, 0), (v, 0))
-    case Get(d, k)               => List((d, 0), (k, 0))
-    case Rng(a, b)               => List((a, 0), (b, 0))
-    case SubArr(a, l, h)         => List((a, 0), (l, 0), (h, 0))
-    case Merge(l, r, b)          => List((l, 0), (r, 0), (b, 3))
-  }
-
-  private def rebuild(e: Expr, cs: List[Expr]): Expr = (e, cs) match {
-    case (e: Num, Nil)            => e
-    case (e: Vr, Nil)             => e
-    case (e: Sym, Nil)            => e
-    case (Bin(op, _, _), List(a, b))      => Bin(op, a, b)
-    case (IfThen(_, _), List(c, t))       => IfThen(c, t)
-    case (Let(_, _), List(b, e2))         => Let(b, e2)
-    case (Sum(_, _), List(c, b))          => Sum(c, b)
-    case (Dict(_, _, u, p), List(k, v))   => Dict(k, v, u, p)
-    case (Get(_, _), List(d, k))          => Get(d, k)
-    case (Rng(_, _), List(a, b))          => Rng(a, b)
-    case (SubArr(_, _, _), List(a, l, h)) => SubArr(a, l, h)
-    case (Merge(_, _, _), List(l, r, b))  => Merge(l, r, b)
-    case _ => throw new IllegalStateException(s"rebuild arity mismatch: $e")
+  /** The child map of SDQLite terms, which every generic traversal uses
+    * (egg's `map_children`): calls `f` on each child of `e` in field
+    * order, with the number of variables `e` binds there (a `let` body 1,
+    * a `sum` body 2, a `merge` body 3, any other child 0), and rebuilds
+    * `e` from the results. When every child comes back `eq`, it returns
+    * `e` itself, so a fold through it copies nothing. */
+  def mapChildren(e: Expr)(f: (Expr, Int) => Expr): Expr = e match {
+    case Num(_) | Vr(_) | Sym(_) => e
+    case x @ Bin(op, a, b) => val a1 = f(a, 0); val b1 = f(b, 0)
+      if ((a1 eq a) && (b1 eq b)) x else Bin(op, a1, b1)
+    case x @ IfThen(c, t) => val c1 = f(c, 0); val t1 = f(t, 0)
+      if ((c1 eq c) && (t1 eq t)) x else IfThen(c1, t1)
+    case x @ Let(b, e2) => val b1 = f(b, 0); val e1 = f(e2, 1)
+      if ((b1 eq b) && (e1 eq e2)) x else Let(b1, e1)
+    case x @ Sum(c, b) => val c1 = f(c, 0); val b1 = f(b, 2)
+      if ((c1 eq c) && (b1 eq b)) x else Sum(c1, b1)
+    case x @ Dict(k, v, u, p) => val k1 = f(k, 0); val v1 = f(v, 0)
+      if ((k1 eq k) && (v1 eq v)) x else Dict(k1, v1, u, p)
+    case x @ Get(d, k) => val d1 = f(d, 0); val k1 = f(k, 0)
+      if ((d1 eq d) && (k1 eq k)) x else Get(d1, k1)
+    case x @ Rng(a, b) => val a1 = f(a, 0); val b1 = f(b, 0)
+      if ((a1 eq a) && (b1 eq b)) x else Rng(a1, b1)
+    case x @ SubArr(a, l, h) => val a1 = f(a, 0); val l1 = f(l, 0); val h1 = f(h, 0)
+      if ((a1 eq a) && (l1 eq l) && (h1 eq h)) x else SubArr(a1, l1, h1)
+    case x @ Merge(l, r, b) => val l1 = f(l, 0); val r1 = f(r, 0); val b1 = f(b, 3)
+      if ((l1 eq l) && (r1 eq r) && (b1 eq b)) x else Merge(l1, r1, b1)
   }
 
   /** Apply `f` to every *free* De Bruijn index (indices are free relative
     * to the root of `e`); bound indices are untouched. */
   def remapFree(e: Expr, f: Int => Int): Expr = {
     def go(e: Expr, depth: Int): Expr = e match {
-      case Vr(i) if i >= depth => Vr(depth + f(i - depth))
-      case Vr(_)               => e
-      case _ =>
-        rebuild(e, binders(e).map { case (c, n) => go(c, depth + n) })
+      case Vr(i) if i >= depth => val j = depth + f(i - depth); if (j == i) e else Vr(j)
+      case _ => mapChildren(e)((c, n) => go(c, depth + n))
     }
     go(e, 0)
   }
@@ -129,9 +117,7 @@ object Expr {
     def go(e: Expr, depth: Int): Expr = e match {
       case Vr(i) if i == target + depth => shift(repl, depth)
       case Vr(i) if i > target + depth  => Vr(i - 1)
-      case Vr(_)                        => e
-      case _ =>
-        rebuild(e, binders(e).map { case (c, n) => go(c, depth + n) })
+      case _ => mapChildren(e)((c, n) => go(c, depth + n))
     }
     go(e, 0)
   }
@@ -140,35 +126,37 @@ object Expr {
     * (which must be closed — TSMs are closed expressions). */
   def substSym(e: Expr, name: String, repl: Expr): Expr = e match {
     case Sym(n) if n == name => repl
-    case _ => rebuild(e, binders(e).map { case (c, _) => substSym(c, name, repl) })
+    case _ => mapChildren(e)((c, _) => substSym(c, name, repl))
   }
 
   /** Free De Bruijn indices of `e`, relative to its root. */
   def freeVars(e: Expr): Set[Int] = {
-    def go(e: Expr, depth: Int): Set[Int] = e match {
-      case Vr(i) if i >= depth => Set(i - depth)
-      case Vr(_)               => Set.empty
-      case _ =>
-        binders(e).iterator.map { case (c, n) => go(c, depth + n) }
-          .foldLeft(Set.empty[Int])(_ ++ _)
+    var fv = Set.empty[Int]
+    def go(e: Expr, depth: Int): Expr = e match {
+      case Vr(i) => if (i >= depth) fv += i - depth; e
+      case _ => mapChildren(e)((c, n) => go(c, depth + n))
     }
-    go(e, 0)
+    go(e, 0); fv
   }
 
   /** Global symbols referenced by `e`. */
-  def syms(e: Expr): Set[String] = e match {
-    case Sym(n) => Set(n)
-    case _ => binders(e).iterator.map { case (c, _) => syms(c) }
-        .foldLeft(Set.empty[String])(_ ++ _)
+  def syms(e: Expr): Set[String] = {
+    var out = Set.empty[String]
+    def go(e: Expr): Expr = e match {
+      case Sym(n) => out += n; e
+      case _ => mapChildren(e)((c, _) => go(c))
+    }
+    go(e); out
   }
 
   /** Number of occurrences of free variable `target`. */
   def occurrences(e: Expr, target: Int): Int = {
-    def go(e: Expr, depth: Int): Int = e match {
-      case Vr(i) => if (i == target + depth) 1 else 0
-      case _ => binders(e).map { case (c, n) => go(c, depth + n) }.sum
+    var n = 0
+    def go(e: Expr, depth: Int): Expr = e match {
+      case Vr(i) => if (i == target + depth) n += 1; e
+      case _ => mapChildren(e)((c, b) => go(c, depth + b))
     }
-    go(e, 0)
+    go(e, 0); n
   }
 
   /** Is `e` linear in free variable `target`? True when the variable

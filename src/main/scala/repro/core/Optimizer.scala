@@ -36,16 +36,12 @@ object Optimizer {
   /** Estimated dimension width for freshly built dense dictionaries:
     * the largest cardinality level or literal range bound in play. */
   private def widthOf(storages: Seq[Storage]): Double = {
-    def rangeLits(e: Expr): Seq[Double] = {
-      val own = e match {
-        case Rng(Num(a), Num(b)) => Seq(b - a)
-        case _ => Seq.empty
-      }
-      own ++ Expr.binders(e).flatMap { case (c, _) => rangeLits(c) }
+    val candidates = storages.flatMap(_.logicalCard.levels.map(_.n)).toBuffer
+    def rangeLits(e: Expr): Expr = e match {
+      case Rng(Num(a), Num(b)) => candidates += b - a; e
+      case _ => Expr.mapChildren(e)((c, _) => rangeLits(c))
     }
-    val candidates =
-      storages.flatMap(_.logicalCard.levels.map(_.n)) ++
-      storages.flatMap(st => rangeLits(st.tsm))
+    storages.foreach(st => rangeLits(st.tsm))
     if (candidates.isEmpty) 256.0 else candidates.max
   }
 

@@ -129,9 +129,8 @@ object Rules {
     simple("L6", pb(Sub, pv("a"), pv("a")), zero),
     simple("EqRefl", pb(Eq, pv("a"), pv("a")), RLit(Num(1))),
     // if (true) then e -> e ; if (false) then e -> 0
-    Rule("IfT", p(Op.If, POpVar("c", { case Op.Num(v) => v != 0.0; case _ => false },
-        Vector.empty), pv("e")),
-      (ctx, s) => Some(s("e"))),
+    simple("IfT", p(Op.If, POpVar("c", { case Op.Num(v) => v != 0.0; case _ => false },
+        Vector.empty), pv("e")), RVar("e")),
     simple("IfF", p(Op.If, num(0.0), pv("e")), zero),
     // constant folding on scalar binops, except where evaluation would
     // throw (an integer op on a fraction or by zero) or `/` divide by zero
@@ -183,6 +182,18 @@ object Rules {
   )
 
   // ---- fusion (F1-F4, unnesting, let inlining) -----------------------------
+  // F1r and F1s: let k = e2' in if (lo' <= k && k < hi') then let v = value in e3
+  private def inBounds(value: RT) =
+    r(Op.Let, RRemap("e2", shiftF(-2)),
+      r(Op.If, rb(And, rb(Le, RRemap("lo", shiftF(+1)), RLit(Vr(0))),
+                       rb(Lt, RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
+        r(Op.Let, value, RVar("e3"))))
+  // F2, F3 and U1: sum(<k2,v2> in e1) let k1 = key in let v1 = value' in e3'
+  private def letBound(key: RT, value: String) =
+    r(Op.Sum, RVar("e1"),
+      r(Op.Let, key,
+        r(Op.Let, RRemap(value, i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
+          RRemap("e3", i => if (i <= 1) i else i + 2))))
   private val fusion = Seq(
     // F1: sum(<k,v> in e1) if (k == e2) then e3
     //   -> let k = e2' in let v = e1'(k) in e3        (k,v ∉ FV(e2))
@@ -198,48 +209,28 @@ object Rules {
     simple("F1r",
       p(Op.Sum, p(Op.Rng, pv("lo"), pv("hi")),
         p(Op.If, pb(Eq, variable(1), pv("e2")), pv("e3"))),
-      r(Op.Let, RRemap("e2", shiftF(-2)),
-        r(Op.If, rb(And, rb(Le, RRemap("lo", shiftF(+1)), RLit(Vr(0))),
-                         rb(Lt, RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
-          r(Op.Let, RLit(Vr(0)), RVar("e3")))),
-      cond = fvAvoid("e2", Set(0, 1))),
+      inBounds(RLit(Vr(0))), cond = fvAvoid("e2", Set(0, 1))),
     // F1s: sum(<k,v> in e(lo:hi)) if (k == e2) then e3
     //   -> let k = e2' in if (lo' <= k && k < hi') then let v = e'(k) in e3
     simple("F1s",
       p(Op.Sum, p(Op.Sub, pv("e"), pv("lo"), pv("hi")),
         p(Op.If, pb(Eq, variable(1), pv("e2")), pv("e3"))),
-      r(Op.Let, RRemap("e2", shiftF(-2)),
-        r(Op.If, rb(And, rb(Le, RRemap("lo", shiftF(+1)), RLit(Vr(0))),
-                         rb(Lt, RLit(Vr(0)), RRemap("hi", shiftF(+1)))),
-          r(Op.Let, r(Op.Get, RRemap("e", shiftF(+1)), RLit(Vr(0))), RVar("e3")))),
-      cond = fvAvoid("e2", Set(0, 1))),
+      inBounds(r(Op.Get, RRemap("e", shiftF(+1)), RLit(Vr(0)))), cond = fvAvoid("e2", Set(0, 1))),
     // F2: sum(<k1,v1> in sum(<k2,v2> in e1) {k2 -> e2}) e3
     //   -> sum(<k2,v2> in e1) let k1 = k2 in let v1 = e2' in e3'
     simple("F2",
       p(Op.Sum, p(Op.Sum, pv("e1"), pdict("d", variable(1), pv("e2"))), pv("e3")),
-      r(Op.Sum, RVar("e1"),
-        r(Op.Let, RLit(Vr(1)),
-          r(Op.Let, RRemap("e2", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
-            RRemap("e3", i => if (i <= 1) i else i + 2)))),
-      cond = strictIn("e3", 0)),
+      letBound(RLit(Vr(1)), "e2"), cond = strictIn("e3", 0)),
     // F3: sum(<k1,v1> in sum(<k2,v2> in e1) {@unique ek -> ev}) e3
     //   -> sum(<k2,v2> in e1) let k1 = ek in let v1 = ev' in e3'
     simple("F3",
       p(Op.Sum, p(Op.Sum, pv("e1"),
         POpVar("d", isUniqueDict, Vector(pv("ek"), pv("ev")))), pv("e3")),
-      r(Op.Sum, RVar("e1"),
-        r(Op.Let, RVar("ek"),
-          r(Op.Let, RRemap("ev", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
-            RRemap("e3", i => if (i <= 1) i else i + 2)))),
-      cond = strictIn("e3", 0)),
+      letBound(RVar("ek"), "ev"), cond = strictIn("e3", 0)),
     // U1: same as F3 without @unique, sound when e3 is linear in v1
     simple("U1",
       p(Op.Sum, p(Op.Sum, pv("e1"), pdict("d", pv("ek"), pv("ev"))), pv("e3")),
-      r(Op.Sum, RVar("e1"),
-        r(Op.Let, RVar("ek"),
-          r(Op.Let, RRemap("ev", i => if (i == 0) 1 else if (i == 1) 2 else i + 1),
-            RRemap("e3", i => if (i <= 1) i else i + 2)))),
-      cond = allOf(linearIn("e3", 0), strictIn("e3", 0))),
+      letBound(RVar("ek"), "ev"), cond = allOf(linearIn("e3", 0), strictIn("e3", 0))),
     // F4: sum(<k1,v1> in e1) sum(<k2,v2> in e2') if (v1 == v2) then e3
     //   -> merge(<k1,k2,v> in <e1, e2>) e3'         (k1,v1 ∉ FV(e2'))
     simple("F4",
@@ -351,9 +342,4 @@ object Rules {
 
   /** Stage-2 adds the physical lowering rules. */
   val physicalStage: Seq[Rule] = logical ++ physical
-
-  val all: Seq[Rule] = physicalStage
-
-  /** Rule-count sanity: the paper reports "about 44" rules. */
-  def count: Int = all.size
 }

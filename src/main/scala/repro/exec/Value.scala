@@ -281,7 +281,8 @@ object Value {
 /** Mutable accumulator for `sum` — specializes on the first inserted
   * entry: scalar, numeric hash, numeric dense array, nested hash, or
   * nested dense array; upgrades representation if later entries do not
-  * fit the specialization. */
+  * fit the specialization. A nested entry inserted more than once is
+  * summed in a child accumulator (see [[addAt]]). */
 final class Acc {
   import Acc._
   private var mode: Int = Empty
@@ -291,6 +292,7 @@ final class Acc {
   private var dn: Array[Double] = null
   private var dv: Array[Value] = null
   private var dLen: Int = 0 // logical length (max key + 1) of dense modes
+  private var kids: LongMap[Acc] = null // child accumulators of nested modes, by key
 
   /** Dense arrays beyond this many slots fall back to hash (safety). */
   private val DenseCap = 1 << 26
@@ -356,7 +358,7 @@ final class Acc {
           case _ => upgradeToHashV(); plusEntry(k, v, dense)
         }
       case HashV =>
-        val s = Value.add(hv.getOrElse(k, VZero), v)
+        val s = addAt(k, hv.getOrElse(k, VZero), v)
         if (s == VZero) hv.remove(k) else hv.update(k, s)
       case DenseN =>
         v match {
@@ -367,8 +369,7 @@ final class Acc {
       case DenseV =>
         if (k >= 0 && k < DenseCap) {
           growV((k + 1).toInt)
-          val old = dv(k.toInt)
-          dv(k.toInt) = if (old == null) v else Value.add(old, v)
+          dv(k.toInt) = addAt(k, dv(k.toInt), v)
         } else { upgradeDenseVToHashV(); plusEntry(k, v, dense) }
     }
   }
@@ -379,6 +380,21 @@ final class Acc {
       if (mode == DenseN && k >= 0 && k < DenseCap) { growN((k + 1).toInt); dn(k.toInt) += d }
       else if (mode == HashN) plusHashN(k, d)
       else plusEntry(k, VNum(d), dense)
+    }
+
+  /** `old + v` for the entry at `k` of a nested mode (`old` null or
+    * [[VZero]] when absent). Two numbers add up. Otherwise the first
+    * collision at `k` seeds a child accumulator with `old`, later inserts
+    * at `k` add into it, and the entry keeps `old` until [[result]]
+    * replaces it with the child's sum: an entry is not copied per insert. */
+  private def addAt(k: Long, old: Value, v: Value): Value =
+    if (old == null || old == VZero) v
+    else if (kids != null && kids.contains(k)) { kids(k).plus(v); old }
+    else if (old.isInstanceOf[VNum] && v.isInstanceOf[VNum]) Value.add(old, v)
+    else {
+      val c = new Acc; c.plus(old); c.plus(v)
+      if (kids == null) kids = LongMap.empty
+      kids.update(k, c); old
     }
 
   /** A hash entry that cancels to zero is removed, so hash modes hold
@@ -410,25 +426,35 @@ final class Acc {
     * is zeroed and kept, since `result` copies it. */
   def clear(): Unit = {
     if (mode == DenseN) java.util.Arrays.fill(dn, 0, dLen, 0.0)
-    mode = Empty; num = 0.0; hn = null; hv = null; dv = null; dLen = 0
+    mode = Empty; num = 0.0; hn = null; hv = null; dv = null; dLen = 0; kids = null
   }
 
-  /** The sum so far; a dictionary whose entries all cancelled is [[VZero]]. */
-  def result: Value = mode match {
-    case Empty  => VZero
-    case Scalar => if (num == 0) VZero else VNum(num)
-    case HashN  => if (hn.isEmpty) VZero else new VHashN(hn)
-    case HashV  => if (hv.isEmpty) VZero else new VHashV(hv)
-    case DenseN => if (zeroN) VZero else new VDenseN(java.util.Arrays.copyOf(dn, dLen))
-    case DenseV =>
-      val a = java.util.Arrays.copyOf(dv, dLen)
-      var nonZero = false
-      var i = 0
-      while (i < a.length) {
-        if (a(i) == null || a(i) == VZero) a(i) = VZero else nonZero = true
-        i += 1
+  /** The sum so far; a dictionary whose entries all cancelled is [[VZero]].
+    * Merged entries first take their child's sum. */
+  def result: Value = {
+    if (kids != null) {
+      kids.foreachEntry { (k, c) =>
+        val s = c.result
+        if (mode == DenseV) dv(k.toInt) = s else if (s == VZero) hv.remove(k) else hv.update(k, s)
       }
-      if (nonZero) new VDenseV(a) else VZero
+      kids = null
+    }
+    mode match {
+      case Empty  => VZero
+      case Scalar => if (num == 0) VZero else VNum(num)
+      case HashN  => if (hn.isEmpty) VZero else new VHashN(hn)
+      case HashV  => if (hv.isEmpty) VZero else new VHashV(hv)
+      case DenseN => if (zeroN) VZero else new VDenseN(java.util.Arrays.copyOf(dn, dLen))
+      case DenseV =>
+        val a = java.util.Arrays.copyOf(dv, dLen)
+        var nonZero = false
+        var i = 0
+        while (i < a.length) {
+          if (a(i) == null || a(i) == VZero) a(i) = VZero else nonZero = true
+          i += 1
+        }
+        if (nonZero) new VDenseV(a) else VZero
+    }
   }
 
   /** [[result]], but a dense array of numbers is lent as a view instead of

@@ -160,8 +160,9 @@ object Formats {
       var nodes = 0
       for (e <- 0 until nnz) {
         val sameParent = e > 0 && parent(e) == parent(e - 1)
-        require(e == 0 || parent(e) > parent(e - 1) || (sameParent && key(e) >= key(e - 1)),
-          s"$fmt $name: coordinates must be sorted")
+        // not `require`, whose by-name message allocates once per entry
+        if (!(e == 0 || parent(e) > parent(e - 1) || (sameParent && key(e) >= key(e - 1))))
+          throw new IllegalArgumentException(s"requirement failed: $fmt $name: coordinates must be sorted")
         if (!sameParent || key(e) != key(e - 1)) { idx += key(e); pos(parent(e) + 1) += 1; nodes += 1 }
         node(e) = nodes - 1
       }
@@ -280,7 +281,7 @@ object Formats {
   }
 
   /** Sparse vector: parallel idx/val arrays. */
-  def sparseVec(name: String, n: Int, entries: Array[(Int, Double)]): Storage = {
+  def sparseVec(name: String, entries: Array[(Int, Double)]): Storage = {
     val sorted = entries.sortBy(_._1)
     val (iN, vN) = (s"${name}_idx", s"${name}_val")
     val tsm = compile(

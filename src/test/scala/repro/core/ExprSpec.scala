@@ -126,6 +126,20 @@ class ExprSpec extends AnyFunSuite {
     assert(isLinearIn(Sum(Sym("A"), Bin(BinOp.Mul, Vr(0), Vr(2))), 0))
   }
 
+  test("a traversal that changes nothing returns the term itself") {
+    val p = repro.meas.Table3.program(OptimizerSpec.smallWorkload, "MTTKRP", "CSF,CSR,CSC")
+    val plan = Optimizer.compose(p.tp, p.storages)
+    assert(mapChildren(plan)((c, _) => c) eq plan)
+    assert(remapFree(plan, identity) eq plan)
+    assert(substSym(plan, "absent", Num(1)) eq plan)
+    // a changed child rebuilds only the nodes above it
+    val coll = Sym("A")
+    val e = Sum(coll, Bin(BinOp.Mul, x0, Vr(5)))
+    val shifted = shift(e, 1)
+    assert(shifted == Sum(coll, Bin(BinOp.Mul, x0, Vr(6))))
+    assert(shifted.asInstanceOf[Sum].coll eq coll)
+  }
+
   test("size counts nodes") {
     assert(Bin(BinOp.Mul, Num(1), Num(2)).size == 3)
     assert(Sum(Sym("A"), Dict(Vr(1), Vr(0))).size == 5)

@@ -34,6 +34,43 @@ class OptimizerSpec extends AnyFunSuite {
       test(s"${p.kernel} optimizes correctly on ${p.formats.mkString(" x ")}")(checkProgram(p))
     }
 
+  // The statistics' widths come from `widthOf`'s walk over the TSMs, and
+  // the symbols and free variables from `Expr`'s; pinned per program.
+  test("statistics, symbols and free variables of every Table 3 program") {
+    val pinned = Seq(
+      ("MMM/CSR,CSR", 20.0, 3.0, "A_idx2 A_pos2 A_val B_idx2 B_pos2 B_val", 61),
+      ("MMM/CSC,CSR", 20.0, 3.0, "A_idx2 A_pos2 A_val B_idx2 B_pos2 B_val", 61),
+      ("MMM/Dense,Dense", 20.0, 17.5, "A_V B_V", 55),
+      ("MMM/COO,COO", 70.0, 1.0, "A_idx1 A_idx2 A_val B_idx1 B_idx2 B_val", 47),
+      ("MMM/Trie,Trie", 20.0, 3.0657894736842106, "A_T B_T", 35),
+      ("SumMMM/CSC,CSR", 20.0, 3.0, "A_idx2 A_pos2 A_val B_idx2 B_pos2 B_val", 57),
+      ("SumMMM/CSR,CSR", 20.0, 3.0, "A_idx2 A_pos2 A_val B_idx2 B_pos2 B_val", 57),
+      ("SumMMM/Dense,Dense", 20.0, 17.5, "A_V B_V", 51),
+      ("SumMMM/Trie,Trie", 20.0, 3.0657894736842106, "A_T B_T", 31),
+      ("BATAX/CSR,Dense", 20.0, 2.25, "A_idx2 A_pos2 A_val X_V beta", 38),
+      ("BATAX/Trie,Dense", 20.0, 2.25, "A_T X_V beta", 25),
+      ("BATAX/Dense,Dense", 20.0, 10.5, "A_V X_V beta", 35),
+      ("BATAX/DCSR,Dense", 20.0, 2.25, "A_idx1 A_idx2 A_pos1 A_pos2 A_val X_V beta", 43),
+      ("TTM/CSF,CSC", 12.0, 5.0625,
+        "A_idx1 A_idx2 A_idx3 A_pos1 A_pos2 A_pos3 A_val B_idx2 B_pos2 B_val", 83),
+      ("TTM/CSF,CSR", 12.0, 4.729166666666667,
+        "A_idx1 A_idx2 A_idx3 A_pos1 A_pos2 A_pos3 A_val B_idx2 B_pos2 B_val", 83),
+      ("MTTKRP/CSF,CSR,CSC", 10.0, 5.097222222222222, "A_idx1 A_idx2 A_idx3 A_pos1 A_pos2 " +
+        "A_pos3 A_val B_idx2 B_pos2 B_val C_idx2 C_pos2 C_val", 116),
+      ("MTTKRP/CSF,CSR,CSR", 10.0, 4.319444444444445, "A_idx1 A_idx2 A_idx3 A_pos1 A_pos2 " +
+        "A_pos3 A_val B_idx2 B_pos2 B_val C_idx2 C_pos2 C_val", 116))
+    val got = Table3.programs(w).map { p =>
+      val logical = Optimizer.logicalStats(p.storages, p.extraCards)
+      val physical = Optimizer.physicalStats(p.storages, p.extraCards)
+      assert(physical.denseWidth == logical.denseWidth, p.format)
+      val plan = Optimizer.compose(p.tp, p.storages)
+      assert(Expr.freeVars(plan).isEmpty, p.format)
+      (s"${p.kernel}/${p.format}", logical.denseWidth, physical.defaultSegment,
+        Expr.syms(plan).toSeq.sorted.mkString(" "), plan.size)
+    }
+    assert(got == pinned)
+  }
+
   // ---- optimization quality ----------------------------------------------
 
   test("BATAX/CSR optimized plan beats the naive plan at runtime") {

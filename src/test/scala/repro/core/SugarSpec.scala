@@ -97,9 +97,9 @@ class SugarSpec extends AnyFunSuite {
     // sum over A rows, A cols, B rows (joined on k), B cols
     assert(Expr.syms(e) == Set("A", "B"))
     var sums = 0
-    def count(x: Expr): Unit = {
+    def count(x: Expr): Expr = {
       if (x.isInstanceOf[Sum]) sums += 1
-      Expr.binders(x).foreach { case (c, _) => count(c) }
+      Expr.mapChildren(x)((c, _) => count(c))
     }
     count(e)
     assert(sums == 4)

@@ -91,6 +91,10 @@ class EGraphSpec extends AnyFunSuite {
       val (op, cs) = Op.decompose(e)
       assert(cs.length == op.arity, s"arity of $op")
       assert(op.compose(cs) == e, s"round-trip failed for $e")
+      // the term-side child map names the same children and binder counts
+      val seen = List.newBuilder[(Expr, Int)]
+      Expr.mapChildren(e) { (c, n) => seen += ((c, n)); c }
+      assert(seen.result() == cs.indices.map(i => (cs(i), op.binds(i))), s"children of $e")
       op
     }
     assert(ops.map(_.getClass).distinct.size == 12, "every Op case is covered")

@@ -106,7 +106,7 @@ class TensorsSpec extends AnyFunSuite {
   }
 
   test("sparse vector TSM round-trips") {
-    val st = Formats.sparseVec("X", 10, Array((2, 5.0), (7, -1.0)))
+    val st = Formats.sparseVec("X", Array((2, 5.0), (7, -1.0)))
     val got = Value.asDict(Interp.run(st.tsm, st.symbols))
     assert(Value.asNum(got.get(2)) == 5.0)
     assert(Value.asNum(got.get(7)) == -1.0)
