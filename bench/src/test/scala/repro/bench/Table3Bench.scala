@@ -11,7 +11,7 @@ import repro.meas.Table3
   * MTTKRP). */
 class Table3Bench extends SparkSpec {
 
-  private lazy val cells = Table3.run(Some(spark), log = println)
+  private lazy val cells = Table3.run(spark, log = println)
 
   test("Table 3: run the full grid and print it") {
     println("Table 3 — best storage formats and runtimes (ours vs paper):")

@@ -14,7 +14,7 @@ object Table3Job {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {
-      val cells = Table3.run(Some(spark), log = println)
+      val cells = Table3.run(spark, log = println)
       println("Table 3 — best storage formats and runtimes:")
       println(Table3.render(cells))
     } finally spark.stop()

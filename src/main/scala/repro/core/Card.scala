@@ -62,5 +62,9 @@ final case class Stats(
       * just its non-zeros — the heart of the dense/sparse tradeoff. */
     denseWidth: Double = 256.0) {
 
-  def card(sym: String): Card = symCards.getOrElse(sym, Card.scalar)
+  /** The card of global symbol `sym`. A symbol without one is an error:
+    * taking it for a scalar would let scalar-gated rules move a
+    * dictionary past another. */
+  def card(sym: String): Card =
+    symCards.getOrElse(sym, throw new NoSuchElementException(s"no cardinality for symbol $sym"))
 }

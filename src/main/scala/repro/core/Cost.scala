@@ -203,12 +203,10 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     def qc(c: Card): Card =
       Card(qd(c.weight), c.levels.map(l => Level(qd(l.n), l.dense)))
 
-    val noNodes = mutable.ArrayBuffer.empty[ENode]
     /** The children of `n`, costed by `lu` per (class, env). */
     class ClassChildren(n: ENode, lu: (Int, List[Card]) => Option[Res]) extends Children {
       def res(i: Int, env: List[Card]): Option[Res] = lu(n.children(i), env)
-      def ops(i: Int): Iterator[Op] =
-        eg.classes.getOrElse(eg.find(n.children(i)), noNodes).iterator.map(_.op)
+      def ops(i: Int): Iterator[Op] = eg.classes(n.children(i)).iterator.map(_.op)
     }
     def costOf(n: ENode, env: List[Card], lu: (Int, List[Card]) => Option[Res]): Option[Res] =
       nodeCost(n.op, env, new ClassChildren(n, lu))
@@ -217,64 +215,45 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     // A per-class (card, cost) fixpoint with variables treated as scalars.
     // Used only to PRUNE each class to its most promising nodes before the
     // exact env-aware search — otherwise the (class, env) space explodes.
-    val approx = mutable.HashMap.empty[Int, Res]
-    val approxLu: (Int, List[Card]) => Option[Res] =
-      (cls, _) => approx.get(eg.find(cls))
-    val K = 3
-    val pruned = mutable.HashMap.empty[Int, Vector[ENode]]
-    val memo = mutable.HashMap.empty[(Int, List[Card]), Option[(Card, Double, ENode)]]
-    val visiting = mutable.HashSet.empty[(Int, List[Card])]
-    // Depth guard for pass 3: cycles whose environment grows on every
-    // lap (e.g. a self-referential let introduced by a union) never
-    // revisit the same (class, env) key, so bound recursion outright.
-    val MaxDepth = 160
-    var depth = 0
-    val fvTable = mutable.HashMap.empty[Int, Set[Int]]
-    lazy val bestLu: (Int, List[Card]) => Option[Res] =
-      (cls, env) => best(cls, env).map(r => (r._1, r._2))
+    // Capped: an `if` costs cost(c) + 1 + sel·cost(t) with sel < 1, so a
+    // cycle through one can keep lowering a class's cost in ever smaller
+    // steps.
+    val approx = Extract.fixpoint[Res](eg, maxSweeps = 80)(_._2 < _._2) { (n, lu) =>
+      costOf(n, Nil, (cls, _) => lu(cls))
+    }
+    val approxLu: (Int, List[Card]) => Option[Res] = (cls, _) => approx.get(cls).map(_._1)
 
-    def runApproxPass(): Unit = {
-      var changedA = true
-      var guardA = 0
-      while (changedA && guardA < 80) {
-        changedA = false; guardA += 1
-        eg.classes.foreach { case (cid0, nodes) =>
-          val cid = eg.find(cid0)
-          nodes.foreach { n0 =>
-            costOf(eg.canonicalize(n0), Nil, approxLu).foreach { r =>
-              if (approx.get(cid).forall(_._2 > r._2)) {
-                approx(cid) = r; changedA = true
-              }
-            }
-          }
-        }
-      }
+    // ---- pass 2: prune each class to its K cheapest nodes -----------------
+    val K = 3
+    val pruned = eg.classes.map { case (cid, nodes) =>
+      cid -> nodes.iterator.map(eg.canonicalize).toVector.distinct
+        .flatMap(n => costOf(n, Nil, approxLu).map(r => (r._2, n)))
+        .sortBy(_._1).take(K).map(_._2)
     }
 
     // ---- pass 2b: free variables per class (over pruned nodes) ------------
     // Memo keys in pass 3 are restricted to the env entries a class can
     // actually read; otherwise path-dependent env chains explode the
-    // (class, env) space.
-    def runFvPass(): Unit = {
-      var changed = true
-      var guard = 0
-      while (changed && guard < 64) {
-        changed = false; guard += 1
-        pruned.foreach { case (cid, nodes) =>
-          var s = fvTable.getOrElse(cid, Set.empty)
-          nodes.foreach { n =>
-            n.op match {
-              case Op.Var(i) => s = s + i
-              case op =>
-                n.children.indices.foreach { i =>
-                  s = s ++ fvTable.getOrElse(eg.find(n.children(i)), Set.empty)
-                    .map(_ - op.binds(i)).filter(_ >= 0)
-                }
-            }
+    // (class, env) space. The sets only grow, over finitely many indices,
+    // so the fixpoint ends.
+    val fvTable = mutable.HashMap.empty[Int, Set[Int]]
+    var changed = true
+    while (changed) {
+      changed = false
+      pruned.foreach { case (cid, nodes) =>
+        var s = fvTable.getOrElse(cid, Set.empty)
+        nodes.foreach { n =>
+          n.op match {
+            case Op.Var(i) => s = s + i
+            case op =>
+              n.children.indices.foreach { i =>
+                s = s ++ fvTable.getOrElse(n.children(i), Set.empty)
+                  .map(_ - op.binds(i)).filter(_ >= 0)
+              }
           }
-          if (s != fvTable.getOrElse(cid, Set.empty)) {
-            fvTable(cid) = s; changed = true
-          }
+        }
+        if (s != fvTable.getOrElse(cid, Set.empty)) {
+          fvTable(cid) = s; changed = true
         }
       }
     }
@@ -286,34 +265,25 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       (cls, picked)
     }
 
-    // ---- pass 2: prune each class to its K cheapest nodes -----------------
-    def runPrunePass(): Unit =
-      eg.classes.foreach { case (cid0, nodes) =>
-        val cid = eg.find(cid0)
-        val ranked = nodes.iterator.map(eg.canonicalize).toVector.distinct
-          .flatMap(n => costOf(n, Nil, approxLu).map(r => (r._2, n)))
-          .sortBy(_._1).take(K).map(_._2)
-        pruned(cid) = ranked
-      }
-
     // ---- pass 3: exact env-aware search over the pruned graph -------------
-    def best(cls0: Int, env: List[Card]): Option[(Card, Double, ENode)] = {
-      val cls = eg.find(cls0)
+    // A class already on the recursion path is cut, whatever the
+    // environment: each class is on the path at most once, so the
+    // recursion ends, and every result is memoized.
+    val memo = mutable.HashMap.empty[(Int, List[Card]), Option[(Card, Double, ENode)]]
+    val visiting = mutable.HashSet.empty[Int]
+    lazy val bestLu: (Int, List[Card]) => Option[Res] =
+      (cls, env) => best(cls, env).map(r => (r._1, r._2))
+    def best(cls: Int, env: List[Card]): Option[(Card, Double, ENode)] = {
       val key = memoKey(cls, env)
       memo.get(key) match {
         case Some(r) => r
         case None =>
-          if (depth >= MaxDepth) return None
-          if (!visiting.add(key)) return None // cycle
-          depth += 1
-          val candidates = pruned.getOrElse(cls, Vector.empty)
+          if (!visiting.add(cls)) return None // cycle
+          val candidates = pruned(cls)
             .flatMap(n => costOf(n, env, bestLu).map { case (card, cost) => (card, cost, n) })
-          depth -= 1
-          visiting.remove(key)
+          visiting.remove(cls)
           val r = if (candidates.isEmpty) None else Some(candidates.minBy(_._2))
-          // results computed under the depth cap may be partial — only
-          // memoize when computed from the top region of the search
-          if (depth < MaxDepth / 2) memo(key) = r
+          memo(key) = r
           r
       }
     }
@@ -321,7 +291,7 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     // Reconstruct the chosen term top-down. Each child is rebuilt in the
     // environment its cost was taken in, so a binder's body sees the card
     // of the bound subterm's best result, and the term is the one costed.
-    def noTerm(cls: Int) = new IllegalStateException(s"no finite-cost term for class ${eg.find(cls)}")
+    def noTerm(cls: Int) = new IllegalStateException(s"no finite-cost term for class $cls")
     def build(cls: Int, env: List[Card]): Expr = {
       val (_, _, n) = best(cls, env).getOrElse(throw noTerm(cls))
       val envs = new Array[List[Card]](n.children.length)
@@ -331,10 +301,8 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       n.op.compose(n.children.indices.toVector.map(i => build(n.children(i), envs(i))))
     }
 
-    runApproxPass()
-    runPrunePass()
-    runFvPass()
-    val (_, cost, _) = best(root, Nil).getOrElse(throw noTerm(root))
-    (build(root, Nil), cost)
+    val top = eg.find(root)
+    val (_, cost, _) = best(top, Nil).getOrElse(throw noTerm(top))
+    (build(top, Nil), cost)
   }
 }

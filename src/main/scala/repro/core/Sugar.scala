@@ -49,8 +49,6 @@ object Sugar {
   def gen(keys: String*)(valName: String, coll: S): Gen =
     Gen(keys.toList, valName, coll)
   def dict(keys: S*)(value: S): S = SDict(keys.toList, value)
-  def dictU(keys: S*)(value: S): S =
-    SDict(keys.toList, value, unique = keys.toList.map(_ => true))
   def get(d: S, keys: S*): S = SGet(d, keys.toList)
   def rng(lo: S, hi: S): S = SRng(lo, hi)
   def sub(arr: S, lo: S, hi: S): S = SSub(arr, lo, hi)

@@ -128,6 +128,7 @@ final class EGraph {
     add(ENode(op, cs.map(addExpr)))
   }
 
-  /** All canonical class ids. */
-  def classIds: Vector[Int] = classes.keysIterator.map(find).toVector.distinct
+  /** All canonical class ids: the keys of `classes`, since `add` keys a
+    * fresh root and `union` removes the class it merges away. */
+  def classIds: Vector[Int] = classes.keysIterator.toVector
 }

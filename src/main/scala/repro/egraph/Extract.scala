@@ -3,30 +3,36 @@ package repro.egraph
 import repro.core.Expr
 import scala.collection.mutable
 
-/** Smallest-term extraction: the tie-breaker representative used by
-  * rewrite appliers that must reason about a concrete term (free-variable
-  * conditions, De Bruijn shifting). Cost-based extraction lives in
-  * `repro.core.Cost` — this one is purely structural. */
+/** Bottom-up extraction, after egg's `Extractor` (Willsey et al., POPL
+  * 2021): the best node of every class under a cost function, computed
+  * to fixpoint. Smallest-term representatives, used by rewrite appliers
+  * that must reason about a concrete term (free-variable conditions,
+  * De Bruijn shifting), are built on it, and so is the environment-free
+  * pass of `repro.core.CostModel.extract`. */
 object Extract {
 
-  /** For every canonical class, the (ast-size, best-node) pair, computed
-    * to fixpoint bottom-up. Classes whose every node is cyclic get no
-    * entry (cannot happen for graphs seeded from finite terms unless a
-    * rule introduces a purely self-referential class). */
-  def sizeTable(eg: EGraph): mutable.HashMap[Int, (Int, ENode)] = {
-    val best = mutable.HashMap.empty[Int, (Int, ENode)]
+  /** For every canonical class, its best node and that node's cost.
+    * Sweeps `eg.classes` in order, costing each canonicalized node with
+    * `cost(node, lookup)`, where `lookup` gives a child class's current
+    * cost (None while it has none, which makes most cost functions give
+    * None too). An entry is replaced only when `better(new, old)`. Stops
+    * when a sweep changes nothing or after `maxSweeps` sweeps. Classes
+    * whose every node is cyclic get no entry. */
+  def fixpoint[C](eg: EGraph, maxSweeps: Int)(better: (C, C) => Boolean)(
+      cost: (ENode, Int => Option[C]) => Option[C]): mutable.HashMap[Int, (C, ENode)] = {
+    val best = mutable.HashMap.empty[Int, (C, ENode)]
+    val lookup: Int => Option[C] = cls => best.get(cls).map(_._1)
     var changed = true
-    while (changed) {
+    var sweeps = 0
+    while (changed && sweeps < maxSweeps) {
       changed = false
-      eg.classes.foreach { case (cid0, nodes) =>
-        val cid = eg.find(cid0)
+      sweeps += 1
+      eg.classes.foreach { case (cid, nodes) =>
         nodes.foreach { n0 =>
           val n = eg.canonicalize(n0)
-          val childSizes = n.children.map(c => best.get(eg.find(c)).map(_._1))
-          if (childSizes.forall(_.isDefined)) {
-            val sz = 1 + childSizes.map(_.get).sum
-            if (best.get(cid).forall(_._1 > sz)) {
-              best(cid) = (sz, n)
+          cost(n, lookup).foreach { c =>
+            if (best.get(cid).forall(old => better(c, old._1))) {
+              best(cid) = (c, n)
               changed = true
             }
           }
@@ -36,18 +42,20 @@ object Extract {
     best
   }
 
-  /** Reconstruct the smallest representative [[Expr]] of every class,
-    * sharing subterms. */
-  def reprTable(eg: EGraph): Map[Int, Expr] = {
-    val table = sizeTable(eg)
-    val memo = mutable.HashMap.empty[Int, Expr]
-    def build(cid0: Int): Expr = {
-      val cid = eg.find(cid0)
-      memo.getOrElseUpdate(cid, {
-        val n = table(cid)._2
-        n.op.compose(n.children.map(build))
-      })
+  /** The smallest term (AST size) of every class that has a finite one.
+    * Sizes are integers that only fall, so the fixpoint needs no cap. The
+    * sizes are computed once, here; a class's term is built the first
+    * time it is asked for, sharing subterms, from the canonical ids of
+    * this moment. Unions made later change no answer. */
+  def representatives(eg: EGraph): Int => Option[Expr] = {
+    val sizes = fixpoint[Int](eg, Int.MaxValue)(_ < _) { (n, size) =>
+      n.children.foldLeft(Option(1))((acc, c) => acc.flatMap(a => size(c).map(a + _)))
     }
-    table.keysIterator.map(c => c -> build(c)).toMap
+    val memo = mutable.HashMap.empty[Int, Expr]
+    def build(cls: Int): Expr = memo.getOrElseUpdate(cls, {
+      val n = sizes(cls)._2
+      n.op.compose(n.children.map(build))
+    })
+    cls => if (sizes.contains(cls)) Some(build(cls)) else None
   }
 }

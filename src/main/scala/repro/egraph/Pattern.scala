@@ -74,7 +74,7 @@ final class Program private[egraph] (
       else instrs(pc) match {
         case Compare(a, b) => if (regs(a) == regs(b)) step(pc + 1)
         case b: Bind =>
-          val nodes = eg.classes.getOrElse(regs(b.in), Program.noNodes)
+          val nodes = eg.classes(regs(b.in))
           var i = 0
           while (i < nodes.length) {
             val n = nodes(i)
@@ -98,8 +98,6 @@ final class Program private[egraph] (
 }
 
 object Program {
-  private val noNodes = mutable.ArrayBuffer.empty[ENode]
-
   def compile(pat: Pat): Program = {
     val instrs = mutable.ArrayBuffer.empty[Instr]
     val vars = mutable.LinkedHashMap.empty[String, Int]

@@ -17,21 +17,22 @@ final case class RLit(e: Expr) extends RT
   * phys flag but drops @unique). */
 final case class RNodeF(opf: (RuleCtx, Subst) => Op, cs: RT*) extends RT
 
-/** Context handed to appliers: representative terms are from the table
-  * computed at the start of the iteration, keyed by the class ids stored
-  * in the substitution (canonical at match time). `symIsScalar` exposes
-  * the statistics' knowledge of which global symbols are scalars, for
-  * type-gated rules. */
-final class RuleCtx(val eg: EGraph, reprs: Map[Int, Expr],
+/** Context handed to appliers: representative terms are those of
+  * [[Extract.representatives]] taken at the start of the iteration,
+  * keyed by the class ids stored in the substitution (canonical at match
+  * time), so the unions made while matches are applied change none of
+  * them. `symIsScalar` exposes the statistics' knowledge of which global
+  * symbols are scalars, for type-gated rules. */
+final class RuleCtx(val eg: EGraph, reprs: Int => Option[Expr],
                     val symIsScalar: String => Boolean = _ => false) {
   def repr(cls: Int): Expr =
-    reprs.getOrElse(cls, throw new IllegalStateException(s"class $cls has no representative"))
+    reprs(cls).getOrElse(throw new IllegalStateException(s"class $cls has no representative"))
 
   private val facts = mutable.HashMap.empty[(Any, Int), Boolean]
 
   /** `test` of the class's representative, decided once per class: the
-    * representative table is fixed for the whole iteration, so the memo
-    * is exact. Tests with equal keys share their answers. */
+    * representatives are fixed for the whole iteration, so the memo is
+    * exact. Tests with equal keys share their answers. */
   def holds(key: Any, cls: Int)(test: Expr => Boolean): Boolean =
     facts.getOrElseUpdate((key, cls), test(repr(cls)))
 }
@@ -125,8 +126,7 @@ object Saturate {
     var stop: String = null
     while (stop == null && iter < cfg.maxIters) {
       iter += 1
-      val reprs = Extract.reprTable(eg)
-      val ctx = new RuleCtx(eg, reprs, symIsScalar)
+      val ctx = new RuleCtx(eg, Extract.representatives(eg), symIsScalar)
       val versionBefore = eg.version
       val memoBefore = eg.memoCount
 

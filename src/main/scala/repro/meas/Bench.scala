@@ -61,7 +61,7 @@ object Bench {
 
   def ms(d: Double): String = f"$d%.1f"
 
-  /** Relative agreement check for checksums. */
-  def close(a: Double, b: Double, tol: Double = 1e-6): Boolean =
-    math.abs(a - b) <= tol * math.max(1.0, math.max(a.abs, b.abs))
+  /** Relative agreement of checksums, to within 1e-6. */
+  def close(a: Double, b: Double): Boolean =
+    math.abs(a - b) <= 1e-6 * math.max(1.0, math.max(a.abs, b.abs))
 }

@@ -124,11 +124,11 @@ object Table3 {
   /** Per-kernel per-system best cell (argmin over candidate formats). Each
     * system's result is timed as the system returns it; STOREL, the Taco
     * model, DuckDB and Spark SQL are then compared entry by entry with the
-    * program's reference, the library baselines by checksum. */
-  def run(spark: Option[SparkSession], log: String => Unit = _ => (),
-          cfg: Optimizer.Config = Optimizer.Config(),
-          w: Workload = defaultWorkload()): Seq[Cell] = {
-
+    * program's reference, the library baselines by checksum. The engines
+    * optimize under `Optimizer.Config()`, on `defaultWorkload()`. */
+  def run(spark: SparkSession, log: String => Unit = _ => ()): Seq[Cell] = {
+    val w = defaultWorkload()
+    val cfg = Optimizer.Config()
     val grid = programs(w)
     def reference(kernel: String): Value = grid.find(_.kernel == kernel).get.reference
     // the relational systems store every operand as a COO relation
@@ -173,7 +173,7 @@ object Table3 {
     def library(kernel: String, system: String, format: String, ref: Double)(
         checksum: => Double): Cell = {
       val (cs, t) = Bench.timeAdaptive(checksum)
-      cell(kernel, system, format, t, Bench.close(cs, ref, 1e-6))
+      cell(kernel, system, format, t, Bench.close(cs, ref))
     }
     // The Python frameworks have no sparse rank-3 tensors (footnote 3).
     def libraryCells(kernel: String): Seq[Cell] = {
@@ -228,10 +228,8 @@ object Table3 {
       val db = DuckKernels.open()
       try { db.load(relations); relational("DuckDB")(db.query) } finally db.close()
     }
-    spark.foreach { sp =>
-      RelKernels.register(sp, relations)
-      relational("SparkSQL")(q => RelKernels.rows(sp.sql(q)))
-    }
+    RelKernels.register(spark, relations)
+    relational("SparkSQL")(q => RelKernels.rows(spark.sql(q)))
 
     out.result()
   }

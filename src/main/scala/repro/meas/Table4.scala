@@ -26,10 +26,11 @@ object Table4 {
     ("TTM", 1) -> (11, 12, 1173, 140, 1480),
     ("TTM", 2) -> (891, 61, 15891, 3244, 23981))
 
-  def run(cfg: Optimizer.Config = Optimizer.Config(),
-          w: Table3.Workload = Table3.defaultWorkload()): Seq[Row] =
-    Table3.table4(w).flatMap { p =>
-      val res = Optimizer.optimize(p.tp, p.storages, p.extraCards, cfg)
+  /** Both stages of every program under `Optimizer.Config()`, on
+    * `Table3.defaultWorkload()`. */
+  def run(): Seq[Row] =
+    Table3.table4(Table3.defaultWorkload()).flatMap { p =>
+      val res = Optimizer.optimize(p.tp, p.storages, p.extraCards)
       Seq(Row(p.kernel, 1, res.stage1), Row(p.kernel, 2, res.stage2))
     }
 

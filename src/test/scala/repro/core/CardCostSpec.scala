@@ -97,6 +97,14 @@ class CardCostSpec extends AnyFunSuite {
     assert(card.count == 7.0)
   }
 
+  test("a symbol without a card is an error, not a scalar") {
+    intercept[NoSuchElementException](stats.card("beta"))
+    // BATAX reads `beta`, whose card comes from the caller
+    val p = Table3.program(Table3.defaultWorkload(), "BATAX", "CSR,Dense")
+    val e = intercept[NoSuchElementException](Optimizer.optimize(p.tp, p.storages))
+    assert(e.getMessage.contains("beta"))
+  }
+
   test("cost extraction picks the cheaper of two equal plans") {
     val eg = new EGraph
     val slow = Sum(Sym("M"), Sum(Vr(0), Bin(BinOp.Mul, Vr(0), Num(1))))

@@ -55,11 +55,10 @@ class RulesSpec extends AnyFunSuite {
   /** One expression per e-node of the root class (children realized via
     * their smallest representatives). */
   private def variantsOf(eg: EGraph, root: Int): Seq[Expr] = {
-    val reprs = Extract.reprTable(eg)
+    val repr = Extract.representatives(eg)
     eg.classes(eg.find(root)).toSeq.map(eg.canonicalize).distinct.flatMap { n =>
-      if (n.children.forall(c => reprs.contains(eg.find(c))))
-        Some(n.op.compose(n.children.map(c => reprs(eg.find(c)))))
-      else None
+      val cs = n.children.map(repr)
+      if (cs.forall(_.isDefined)) Some(n.op.compose(cs.map(_.get))) else None
     }
   }
 

@@ -111,7 +111,7 @@ class EGraphSpec extends AnyFunSuite {
       eg.addExpr(Bin(BinOp.Add, Num(Double.NaN), Num(-0.0))))
   }
 
-  private def smallest(eg: EGraph, cls: Int): Expr = Extract.reprTable(eg)(eg.find(cls))
+  private def smallest(eg: EGraph, cls: Int): Expr = Extract.representatives(eg)(eg.find(cls)).get
 
   test("addExpr then extract smallest returns an equivalent term") {
     val eg = new EGraph

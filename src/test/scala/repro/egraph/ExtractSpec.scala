@@ -1,0 +1,80 @@
+package repro.egraph
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core._
+import scala.collection.mutable
+
+/** The contract of bottom-up extraction: representatives, cycles, the
+  * sweep cap, and cost-based extraction of deep terms. */
+class ExtractSpec extends AnyFunSuite {
+
+  private def add(a: Expr, b: Expr): Expr = Bin(BinOp.Add, a, b)
+
+  test("representatives taken before a union give the same answers after it") {
+    val eg = new EGraph
+    val big = eg.addExpr(add(Bin(BinOp.Mul, Sym("a"), Num(1)), Num(0)))
+    val small = eg.addExpr(Sym("a"))
+    val ids = eg.classIds
+    val before = ids.map(Extract.representatives(eg))
+    // taken before the union, asked only after it
+    val repr = Extract.representatives(eg)
+    eg.union(big, small)
+    eg.rebuild()
+    assert(ids.map(repr) == before)
+    assert(repr(big).contains(add(Bin(BinOp.Mul, Sym("a"), Num(1)), Num(0))))
+    // taken after the union, the merged class gets the smaller term
+    assert(Extract.representatives(eg)(eg.find(big)).contains(Sym("a")))
+  }
+
+  test("a class with one cyclic and one finite node gets the finite one") {
+    val eg = new EGraph
+    val a = eg.addExpr(Sym("a"))
+    val plus = eg.add(ENode(Op.Bin(BinOp.Add), Vector(a, eg.addExpr(Num(1)))))
+    eg.union(a, plus) // a = a + 1: the class now holds `a` and a node on itself
+    eg.rebuild()
+    val cls = eg.find(a)
+    assert(eg.classes(cls).exists(_.children.contains(cls)))
+    assert(Extract.representatives(eg)(cls).contains(Sym("a")))
+    val cm = new CostModel(Stats(Map("a" -> Card.scalar)))
+    assert(cm.extract(eg, cls) == ((Sym("a"), 0.0)))
+  }
+
+  test("a class whose only node is cyclic has no representative") {
+    val eg = new EGraph
+    val one = eg.addExpr(Num(1))
+    val loop = eg.addExpr(add(Sym("a"), Num(1)))
+    // `add` and `union` always leave a class a finite term, so the class
+    // table is written directly: the class's only node is loop + 1
+    eg.classes(loop) = mutable.ArrayBuffer(ENode(Op.Bin(BinOp.Add), Vector(loop, one)))
+    val repr = Extract.representatives(eg)
+    assert(repr(loop).isEmpty && repr(one).contains(Num(1)))
+    val ctx = new RuleCtx(eg, repr)
+    assert(ctx.repr(one) == Num(1))
+    intercept[IllegalStateException](ctx.repr(loop))
+    val cm = new CostModel(Stats(Map("a" -> Card.scalar)))
+    intercept[IllegalStateException](cm.extract(eg, loop))
+  }
+
+  test("Extract.fixpoint stops after maxSweeps when every sweep improves") {
+    val eg = new EGraph
+    val cls = eg.addExpr(Num(1))
+    var calls = 0
+    val table = Extract.fixpoint[Int](eg, maxSweeps = 5)(_ < _) { (_, cost) =>
+      calls += 1
+      Some(cost(cls).getOrElse(0) - 1)
+    }
+    assert(calls == 5 && table(cls)._1 == -5)
+    // without improvements, one sweep finds the fixpoint and one confirms it
+    calls = 0
+    Extract.fixpoint[Int](eg, maxSweeps = 5)(_ < _) { (_, _) => calls += 1; Some(0) }
+    assert(calls == 2)
+  }
+
+  test("cost extraction returns a chain of 250 nested + whole") {
+    val chain = (1 to 250).foldRight(Sym("s"): Expr)((i, e) => add(Num(i), e))
+    val eg = new EGraph
+    val root = eg.addExpr(chain)
+    val cm = new CostModel(Stats(Map("s" -> Card.scalar)))
+    assert(cm.extract(eg, root) == ((chain, 250.0)))
+  }
+}
