@@ -51,21 +51,24 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
   }
 
   /** Analyze a concrete expression (used in tests and for candidate
-    * comparison outside the e-graph). */
+    * comparison outside the e-graph). A De Bruijn variable that no binder
+    * of `e` or entry of `env` binds throws `IllegalStateException`. */
   def analyze(e: Expr, env: List[Card] = Nil): Res = {
     val (op, cs) = Op.decompose(e)
     nodeCost(op, env, new Children {
       def res(i: Int, env: List[Card]): Option[Res] = Some(analyze(cs(i), env))
       def ops(i: Int): Iterator[Op] = Iterator.single(Op.decompose(cs(i))._1)
-    }).get
+    }).getOrElse(
+      throw new IllegalStateException(s"$e is unbound in an environment of ${env.length}"))
   }
 
   /** The rules of Fig. 6 for one node, in the environment `env`; None
-    * when a child has no cost. Children are costed left to right and a
-    * binder's body under the variables it binds: a let's bound value,
-    * a sum's key (a scalar) and value (one level into the collection),
-    * and merge's three scalars. A condition's selectivity is `selEq`
-    * when it may be an `==` and `selOther` otherwise. */
+    * when a child has no cost or the node is a variable past `env`.
+    * Children are costed left to right and a binder's body under the
+    * variables it binds: a let's bound value, a sum's key (a scalar) and
+    * value (one level into the collection), and merge's three scalars.
+    * A condition's selectivity is `selEq` when it may be an `==` and
+    * `selOther` otherwise. */
   private def nodeCost(op: Op, env: List[Card], children: Children): Option[Res] = {
     def child(i: Int) = children.res(i, env)
     def literal(i: Int) = children.ops(i).collectFirst { case Op.Num(v) => v }
@@ -74,7 +77,7 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
         .getOrElse(stats.defaultSegment)
     op match {
       case Op.Num(_) => Some((Card.scalar, 0.0))
-      case Op.Var(i) => Some((if (i < env.length) env(i) else Card.scalar, 0.0))
+      case Op.Var(i) => env.lift(i).map((_, 0.0))
       case Op.Sym(n) => Some((stats.card(n), 0.0))
       case Op.Bin(b) =>
         for ((ca, costa) <- child(0); (cb, costb) <- child(1))
@@ -208,31 +211,14 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       def res(i: Int, env: List[Card]): Option[Res] = lu(n.children(i), env)
       def ops(i: Int): Iterator[Op] = eg.classes(n.children(i)).iterator.map(_.op)
     }
-    def costOf(n: ENode, env: List[Card], lu: (Int, List[Card]) => Option[Res]): Option[Res] =
-      nodeCost(n.op, env, new ClassChildren(n, lu))
 
-    // ---- pass 1: environment-free approximation ---------------------------
-    // A per-class (card, cost) fixpoint with variables treated as scalars.
-    // Used only to PRUNE each class to its most promising nodes before the
-    // exact env-aware search — otherwise the (class, env) space explodes.
-    // Capped: an `if` costs cost(c) + 1 + sel·cost(t) with sel < 1, so a
-    // cycle through one can keep lowering a class's cost in ever smaller
-    // steps.
-    val approx = Extract.fixpoint[Res](eg, maxSweeps = 80)(_._2 < _._2) { (n, lu) =>
-      costOf(n, Nil, (cls, _) => lu(cls))
-    }
-    val approxLu: (Int, List[Card]) => Option[Res] = (cls, _) => approx.get(cls).map(_._1)
-
-    // ---- pass 2: prune each class to its K cheapest nodes -----------------
-    val K = 3
-    val pruned = eg.classes.map { case (cid, nodes) =>
+    // Every class's canonicalized distinct nodes: the search reads them all.
+    val nodesOf = eg.classes.map { case (cid, nodes) =>
       cid -> nodes.iterator.map(eg.canonicalize).toVector.distinct
-        .flatMap(n => costOf(n, Nil, approxLu).map(r => (r._2, n)))
-        .sortBy(_._1).take(K).map(_._2)
     }
 
-    // ---- pass 2b: free variables per class (over pruned nodes) ------------
-    // Memo keys in pass 3 are restricted to the env entries a class can
+    // ---- free variables per class ------------------------------------------
+    // Memo keys in the search are restricted to the env entries a class can
     // actually read; otherwise path-dependent env chains explode the
     // (class, env) space. The sets only grow, over finitely many indices,
     // so the fixpoint ends.
@@ -240,7 +226,7 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     var changed = true
     while (changed) {
       changed = false
-      pruned.foreach { case (cid, nodes) =>
+      nodesOf.foreach { case (cid, nodes) =>
         var s = fvTable.getOrElse(cid, Set.empty)
         nodes.foreach { n =>
           n.op match {
@@ -258,14 +244,17 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       }
     }
 
+    // A class may be reached at a shallower depth than some of its nodes
+    // can be costed at: a rule such as `a*0 → 0` unions a node that reads a
+    // variable into a closed literal's class, which other terms share. Such
+    // a node has no cost there, and the key holds only the bound entries
+    // (the sorted free variables below `env.length`).
     def memoKey(cls: Int, env: List[Card]): (Int, List[Card]) = {
       val fv = fvTable.getOrElse(cls, Set.empty)
-      val picked = fv.toList.sorted.map(i =>
-        if (i < env.length) qc(env(i)) else Card.scalar)
-      (cls, picked)
+      (cls, fv.toList.sorted.takeWhile(_ < env.length).map(i => qc(env(i))))
     }
 
-    // ---- pass 3: exact env-aware search over the pruned graph -------------
+    // ---- env-aware search over every node of a class -----------------------
     // A class already on the recursion path is cut, whatever the
     // environment: each class is on the path at most once, so the
     // recursion ends, and every result is memoized.
@@ -279,8 +268,9 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
         case Some(r) => r
         case None =>
           if (!visiting.add(cls)) return None // cycle
-          val candidates = pruned(cls)
-            .flatMap(n => costOf(n, env, bestLu).map { case (card, cost) => (card, cost, n) })
+          val candidates = nodesOf(cls)
+            .flatMap(n => nodeCost(n.op, env, new ClassChildren(n, bestLu))
+              .map { case (card, cost) => (card, cost, n) })
           visiting.remove(cls)
           val r = if (candidates.isEmpty) None else Some(candidates.minBy(_._2))
           memo(key) = r

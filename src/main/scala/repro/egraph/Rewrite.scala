@@ -1,6 +1,7 @@
 package repro.egraph
 
 import repro.core.Expr
+import scala.annotation.tailrec
 import scala.collection.mutable
 
 /** Right-hand-side templates for rewrite rules. [[RVar]] reuses the
@@ -95,7 +96,7 @@ final case class SatConfig(
   * [[RunStats.IterCap]] or [[RunStats.Timeout]]. */
 final case class RunStats(
     timeMs: Double, iters: Int, nodes: Int, classes: Int, memos: Long,
-    stop: String = RunStats.Saturated) {
+    stop: RunStats.Stop = RunStats.Saturated) {
   def saturated: Boolean = stop == RunStats.Saturated
   /** Aggregate of consecutive runs; keeps the first stop reason that is
     * not [[RunStats.Saturated]]. */
@@ -106,10 +107,14 @@ final case class RunStats(
 }
 
 object RunStats {
-  val Saturated = "saturated"
-  val NodeCap = "node_cap"
-  val IterCap = "iter_cap"
-  val Timeout = "timeout"
+  /** Why a saturation run ended; prints as its name in Table 4. */
+  sealed abstract class Stop(name: String) {
+    override def toString: String = name
+  }
+  case object Saturated extends Stop("saturated")
+  case object NodeCap extends Stop("node_cap")
+  case object IterCap extends Stop("iter_cap")
+  case object Timeout extends Stop("timeout")
 }
 
 object Saturate {
@@ -121,37 +126,39 @@ object Saturate {
   def run(eg: EGraph, rules: Seq[Rule], cfg: SatConfig = SatConfig(),
           symIsScalar: String => Boolean = _ => false): RunStats = {
     val t0 = System.nanoTime()
-    var iter = 0
-    var elapsed = 0.0
-    var stop: String = null
-    while (stop == null && iter < cfg.maxIters) {
-      iter += 1
-      val ctx = new RuleCtx(eg, Extract.representatives(eg), symIsScalar)
-      val versionBefore = eg.version
-      val memoBefore = eg.memoCount
+    def elapsed: Double = (System.nanoTime() - t0) / 1e6
+    @tailrec def loop(iter: Int): (Int, RunStats.Stop) =
+      if (iter >= cfg.maxIters) (iter, RunStats.IterCap)
+      else if (!step(eg, rules, symIsScalar)) (iter + 1, RunStats.Saturated)
+      else if (eg.nodeCount >= cfg.maxNodes) (iter + 1, RunStats.NodeCap)
+      else if (elapsed >= cfg.timeoutMs) (iter + 1, RunStats.Timeout)
+      else loop(iter + 1)
+    val (iters, stop) = loop(0)
+    RunStats(elapsed, iters, eg.nodeCount, eg.classCount, eg.memoCount, stop)
+  }
 
-      // Collect matches first (egg-style), then apply.
-      val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
-      val index = new RootIndex(eg, eg.classIds)
-      rules.foreach { rule =>
-        index.candidates(rule.program).foreach { cls =>
-          rule.program.search(eg, cls) { s =>
-            if (rule.cond(ctx, s)) matches += ((rule, s, cls))
-          }
+  /** One iteration: match every rule against the e-graph, apply all the
+    * matches, and rebuild. False when it changed nothing. */
+  private def step(eg: EGraph, rules: Seq[Rule], symIsScalar: String => Boolean): Boolean = {
+    val ctx = new RuleCtx(eg, Extract.representatives(eg), symIsScalar)
+    val versionBefore = eg.version
+    val memoBefore = eg.memoCount
+
+    // Collect matches first (egg-style), then apply.
+    val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
+    val index = new RootIndex(eg, eg.classIds)
+    rules.foreach { rule =>
+      index.candidates(rule.program).foreach { cls =>
+        rule.program.search(eg, cls) { s =>
+          if (rule.cond(ctx, s)) matches += ((rule, s, cls))
         }
       }
-
-      matches.foreach { case (rule, s, cls) =>
-        rule.rhs(ctx, s).foreach(newCls => eg.union(cls, newCls))
-      }
-      eg.rebuild()
-
-      elapsed = (System.nanoTime() - t0) / 1e6
-      if (eg.version == versionBefore && eg.memoCount == memoBefore) stop = RunStats.Saturated
-      else if (eg.nodeCount >= cfg.maxNodes) stop = RunStats.NodeCap
-      else if (elapsed >= cfg.timeoutMs) stop = RunStats.Timeout
     }
-    if (stop == null) stop = RunStats.IterCap
-    RunStats(elapsed, iter, eg.nodeCount, eg.classCount, eg.memoCount, stop)
+
+    matches.foreach { case (rule, s, cls) =>
+      rule.rhs(ctx, s).foreach(newCls => eg.union(cls, newCls))
+    }
+    eg.rebuild()
+    eg.version != versionBefore || eg.memoCount != memoBefore
   }
 }

@@ -43,6 +43,6 @@ object Table4 {
           .map { case (t, i, n, c, m) => s"$t/$i/$n/$c/$m" }.getOrElse("-")
         Seq(r.kernel, r.stage.toString, Bench.ms(r.stats.timeMs),
           r.stats.iters.toString, r.stats.nodes.toString,
-          r.stats.classes.toString, r.stats.memos.toString, r.stats.stop, p)
+          r.stats.classes.toString, r.stats.memos.toString, r.stats.stop.toString, p)
       })
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.egraph.{Rule, RunStats, SatConfig}
 import repro.exec._
 import repro.meas.{Bench, Table3}
 import repro.storage._
@@ -8,24 +9,58 @@ import repro.storage._
 /** End-to-end optimizer correctness: for every kernel × storage-format
   * combination of Table 3, the naive composed plan and the optimized
   * extracted plan must evaluate to the same tensor as an independent
-  * reference implementation. */
+  * reference implementation, and no extract-and-reseed round may return
+  * a plan costlier than its seed. */
 class OptimizerSpec extends AnyFunSuite {
 
   private val testCfg = Optimizer.Config(
-    stage1 = repro.egraph.SatConfig(maxIters = 12, maxNodes = 4000, timeoutMs = 1500),
-    stage2 = repro.egraph.SatConfig(maxIters = 12, maxNodes = 9000, timeoutMs = 2500),
+    stage1 = SatConfig(maxIters = 12, maxNodes = 4000),
+    stage2 = SatConfig(maxIters = 12, maxNodes = 9000),
     rounds1 = 2, rounds2 = 3)
 
   private val w = OptimizerSpec.smallWorkload
 
+  /** `Optimizer.optimize` under `testCfg`, re-run one extract-and-reseed
+    * round at a time through `saturateRounds`: no round may extract a plan
+    * that costs more than its seed, the final plan may cost no more than
+    * the naive plan, and it must be the plan `optimize` returns and give
+    * the reference's value. */
   private def checkProgram(p: Table3.Program): Unit = {
     val name = s"${p.kernel}/${p.format}"
-    val naiveVal = Interp.run(Optimizer.compose(p.tp, p.storages), p.symtab)
-    assert(Value.deepEq(naiveVal, p.reference), s"$name: naive composed plan is wrong")
+    val naive = Optimizer.compose(p.tp, p.storages)
+    assert(Value.deepEq(Interp.run(naive, p.symtab), p.reference),
+      s"$name: naive composed plan is wrong")
+    def rounds(stage: Int, e0: Expr, rules: Seq[Rule], stats: Stats, sat: SatConfig,
+               max: Int): (Expr, Double) = {
+      val cm = new CostModel(stats, testCfg.params)
+      var e = e0
+      var cost = cm.analyze(e0)._2
+      var round = 0
+      var changed = true
+      while (round < max && changed) {
+        round += 1
+        val seedCost = cm.analyze(e)._2
+        val (next, c, _) = Optimizer.saturateRounds(e, rules, stats, sat, 1, testCfg.params)
+        assert(c <= seedCost * (1 + 1e-9),
+          s"$name stage $stage round $round: seed costs $seedCost, extracted plan $c")
+        changed = next != e
+        e = next
+        cost = c
+      }
+      (e, cost)
+    }
+    val (tp1, _) = rounds(1, p.tp, Rules.logical,
+      Optimizer.logicalStats(p.storages, p.extraCards), testCfg.stage1, testCfg.rounds1)
+    val stats2 = Optimizer.physicalStats(p.storages, p.extraCards)
+    val (plan, cost) = rounds(2, Optimizer.compose(tp1, p.storages), Rules.physicalStage,
+      stats2, testCfg.stage2, testCfg.rounds2)
+    val naiveCost = new CostModel(stats2, testCfg.params).analyze(naive)._2
+    assert(cost <= naiveCost * (1 + 1e-9), s"$name: plan costs $cost, naive plan $naiveCost")
     val res = Optimizer.optimize(p.tp, p.storages, p.extraCards, testCfg)
-    val optVal = Interp.run(res.plan, p.symtab)
-    assert(Value.deepEq(optVal, p.reference),
-      s"$name: optimized plan diverges\n${Expr.pretty(res.plan)}")
+    assert(res.plan == plan && res.cost == cost,
+      s"$name: optimize differs from its rounds run one at a time")
+    assert(Value.deepEq(Interp.run(plan, p.symtab), p.reference),
+      s"$name: optimized plan diverges\n${Expr.pretty(plan)}")
   }
 
   // every Table 3 program, and MMM over two formats Table 3 does not try
@@ -95,7 +130,7 @@ class OptimizerSpec extends AnyFunSuite {
     // every round's time is part of its stage's total, so no round reached
     // the timeout
     Seq(res.stage1 -> cfg.stage1, res.stage2 -> cfg.stage2).foreach { case (rs, sat) =>
-      assert(rs.stop != repro.egraph.RunStats.Timeout && rs.timeMs < sat.timeoutMs)
+      assert(rs.stop != RunStats.Timeout && rs.timeMs < sat.timeoutMs)
     }
     val slow = cfg.copy(stage1 = cfg.stage1.copy(timeoutMs = cfg.stage1.timeoutMs * 10),
       stage2 = cfg.stage2.copy(timeoutMs = cfg.stage2.timeoutMs * 10))

@@ -27,7 +27,7 @@ class PlanPinSpec extends AnyFunSuite {
     val got = plans(Table3.table4(Table3.defaultWorkload(101)),
       Optimizer.Config(stage1 = sat, stage2 = sat))
     assert(got == Seq(
-      "BATAX/CSR,Dense" -> "dc9c5e1b7036",
+      "BATAX/CSR,Dense" -> "986bb6b3d7f4",
       "SumMMM/CSC,CSR" -> "20993da778f6",
       "MTTKRP/CSF,CSR,CSC" -> "ff207dcee2d3",
       "MMM/CSR,CSR" -> "fc3b92091e88",

@@ -38,7 +38,7 @@ class RulesSpec extends AnyFunSuite {
     val eg = new EGraph
     val root = eg.addExpr(witness)
     val rs = (name +: extraRules).map(rule)
-    Saturate.run(eg, rs, SatConfig(maxIters = 4, maxNodes = 4000, timeoutMs = 4000),
+    Saturate.run(eg, rs, SatConfig(maxIters = 4, maxNodes = 4000),
       symIsScalar = Set("c", "d", "beta"))
     val expected = Interp.run(witness, symtab)
     val variants = variantsOf(eg, root)

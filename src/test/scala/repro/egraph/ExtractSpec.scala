@@ -4,8 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import scala.collection.mutable
 
-/** The contract of bottom-up extraction: representatives, cycles, the
-  * sweep cap, and cost-based extraction of deep terms. */
+/** The contract of extraction: representatives, cycles, unbound
+  * variables, and cost-based extraction of deep terms. */
 class ExtractSpec extends AnyFunSuite {
 
   private def add(a: Expr, b: Expr): Expr = Bin(BinOp.Add, a, b)
@@ -55,19 +55,25 @@ class ExtractSpec extends AnyFunSuite {
     intercept[IllegalStateException](cm.extract(eg, loop))
   }
 
-  test("Extract.fixpoint stops after maxSweeps when every sweep improves") {
+  test("costing a variable that no binder binds throws") {
+    val cm = new CostModel(Stats(Map.empty))
+    intercept[IllegalStateException](cm.analyze(Vr(0)))
+    assert(cm.analyze(Vr(0), List(Card.scalar)) == ((Card.scalar, 0.0)))
+  }
+
+  test("a class shared across binder depths extracts where its variable is unbound") {
+    // L2a (a*0 → 0) unions `v0 * 0`, read inside the sum, into the class of
+    // the literal 0, which the root's `0 + …` reaches with no variable bound
+    val e = add(Num(0), Sum(Sym("A"), Bin(BinOp.Mul, Vr(0), Num(0))))
     val eg = new EGraph
-    val cls = eg.addExpr(Num(1))
-    var calls = 0
-    val table = Extract.fixpoint[Int](eg, maxSweeps = 5)(_ < _) { (_, cost) =>
-      calls += 1
-      Some(cost(cls).getOrElse(0) - 1)
-    }
-    assert(calls == 5 && table(cls)._1 == -5)
-    // without improvements, one sweep finds the fixpoint and one confirms it
-    calls = 0
-    Extract.fixpoint[Int](eg, maxSweeps = 5)(_ < _) { (_, _) => calls += 1; Some(0) }
-    assert(calls == 2)
+    val root = eg.addExpr(e)
+    Saturate.run(eg, Rules.logical, SatConfig(maxIters = 4))
+    val zero = eg.find(eg.addExpr(Num(0)))
+    assert(eg.classes(zero).exists(n => n.op == Op.Bin(BinOp.Mul) &&
+      eg.classes(eg.find(n.children(0))).exists(_.op == Op.Var(0))))
+    val cm = new CostModel(Stats(Map("A" -> Card.vec(10, dense = false))))
+    val (plan, cost) = cm.extract(eg, root)
+    assert(cm.analyze(plan)._2 == cost && cost <= cm.analyze(e)._2)
   }
 
   test("cost extraction returns a chain of 250 nested + whole") {
