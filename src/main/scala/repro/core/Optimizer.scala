@@ -10,6 +10,7 @@ import repro.storage.Storage
   * composed plan. Each stage runs bounded saturation, extracts the
   * cheapest plan with the cost model, and reseeds a fresh e-graph from
   * it (the paper's staging, plus reseeding to keep the search bounded).
+  * Last, [[Hoist]] floats loop-invariant loops out of the final plan.
   */
 object Optimizer {
 
@@ -98,9 +99,25 @@ object Optimizer {
       cfg.params)
     // Stage 2: compose with the TSMs; full rule set incl. physical.
     val composed = compose(tp1, storages)
-    val (plan, cost, rs2) = saturateRounds(
-      composed, Rules.physicalStage, physicalStats(storages, extra),
-      cfg.stage2, cfg.rounds2, cfg.params)
+    val stats2 = physicalStats(storages, extra)
+    val (extracted, extractedCost, rs2) = saturateRounds(
+      composed, Rules.physicalStage, stats2, cfg.stage2, cfg.rounds2, cfg.params)
+    // Last: float loop-invariant loops out of the plan.
+    val (plan, cost) = hoist(extracted, extractedCost, new CostModel(stats2, cfg.params))
     OptResult(naive, plan, cost, rs1, rs2)
+  }
+
+  /** `plan`, extracted at `cost`, with its loop-invariant loops floated
+    * out by [[Hoist]], if `cm` costs that no higher; and the cost of the
+    * plan returned. Saturation cannot find these plans: the one
+    * loop-invariant rule, LICM, matches only an invariant `sum` that
+    * multiplies a dictionary entry's value. */
+  def hoist(plan: Expr, cost: Double, cm: CostModel): (Expr, Double) = {
+    val floated = Hoist(plan)
+    if (floated eq plan) (plan, cost)
+    else {
+      val c = cm.analyze(floated)._2
+      if (c <= cost) (floated, c) else (plan, cost)
+    }
   }
 }

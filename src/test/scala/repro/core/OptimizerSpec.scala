@@ -21,10 +21,11 @@ class OptimizerSpec extends AnyFunSuite {
   private val w = OptimizerSpec.smallWorkload
 
   /** `Optimizer.optimize` under `testCfg`, re-run one extract-and-reseed
-    * round at a time through `saturateRounds`: no round may extract a plan
-    * that costs more than its seed, the final plan may cost no more than
-    * the naive plan, and it must be the plan `optimize` returns and give
-    * the reference's value. */
+    * round at a time through `saturateRounds` and then floated by
+    * `Optimizer.hoist`: no round may extract a plan that costs more than
+    * its seed, floating may not raise the cost, the final plan may cost no
+    * more than the naive plan and hold no loop-invariant loop, and it must
+    * be the plan `optimize` returns and give the reference's value. */
   private def checkProgram(p: Table3.Program): Unit = {
     val name = s"${p.kernel}/${p.format}"
     val naive = Optimizer.compose(p.tp, p.storages)
@@ -52,9 +53,14 @@ class OptimizerSpec extends AnyFunSuite {
     val (tp1, _) = rounds(1, p.tp, Rules.logical,
       Optimizer.logicalStats(p.storages, p.extraCards), testCfg.stage1, testCfg.rounds1)
     val stats2 = Optimizer.physicalStats(p.storages, p.extraCards)
-    val (plan, cost) = rounds(2, Optimizer.compose(tp1, p.storages), Rules.physicalStage,
-      stats2, testCfg.stage2, testCfg.rounds2)
-    val naiveCost = new CostModel(stats2, testCfg.params).analyze(naive)._2
+    val (extracted, extractedCost) = rounds(2, Optimizer.compose(tp1, p.storages),
+      Rules.physicalStage, stats2, testCfg.stage2, testCfg.rounds2)
+    val cm = new CostModel(stats2, testCfg.params)
+    val (plan, cost) = Optimizer.hoist(extracted, extractedCost, cm)
+    assert(cost <= extractedCost, s"$name: floating raised the cost from $extractedCost to $cost")
+    assert(HoistSpec.invariantLoops(plan).isEmpty,
+      s"$name: a loop-invariant loop is left in\n${Expr.pretty(plan)}")
+    val naiveCost = cm.analyze(naive)._2
     assert(cost <= naiveCost * (1 + 1e-9), s"$name: plan costs $cost, naive plan $naiveCost")
     val res = Optimizer.optimize(p.tp, p.storages, p.extraCards, testCfg)
     assert(res.plan == plan && res.cost == cost,
@@ -68,6 +74,13 @@ class OptimizerSpec extends AnyFunSuite {
     .foreach { p =>
       test(s"${p.kernel} optimizes correctly on ${p.formats.mkString(" x ")}")(checkProgram(p))
     }
+
+  test("Table 3 workload: no plan computes a loop-invariant loop inside its loop") {
+    val left = Table3.programs(Table3.defaultWorkload()).filter { p =>
+      HoistSpec.invariantLoops(Optimizer.optimize(p.tp, p.storages, p.extraCards).plan).nonEmpty
+    }.map(p => s"${p.kernel}/${p.format}")
+    assert(left.isEmpty)
+  }
 
   // The statistics' widths come from `widthOf`'s walk over the TSMs, and
   // the symbols and free variables from `Expr`'s; pinned per program.
