@@ -220,39 +220,16 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     // ---- free variables per class ------------------------------------------
     // Memo keys in the search are restricted to the env entries a class can
     // actually read; otherwise path-dependent env chains explode the
-    // (class, env) space. The sets only grow, over finitely many indices,
-    // so the fixpoint ends.
-    val fvTable = mutable.HashMap.empty[Int, Set[Int]]
-    var changed = true
-    while (changed) {
-      changed = false
-      nodesOf.foreach { case (cid, nodes) =>
-        var s = fvTable.getOrElse(cid, Set.empty)
-        nodes.foreach { n =>
-          n.op match {
-            case Op.Var(i) => s = s + i
-            case op =>
-              n.children.indices.foreach { i =>
-                s = s ++ fvTable.getOrElse(n.children(i), Set.empty)
-                  .map(_ - op.binds(i)).filter(_ >= 0)
-              }
-          }
-        }
-        if (s != fvTable.getOrElse(cid, Set.empty)) {
-          fvTable(cid) = s; changed = true
-        }
-      }
-    }
+    // (class, env) space.
+    val fv = FreeVars(nodesOf)
 
     // A class may be reached at a shallower depth than some of its nodes
     // can be costed at: a rule such as `a*0 → 0` unions a node that reads a
     // variable into a closed literal's class, which other terms share. Such
     // a node has no cost there, and the key holds only the bound entries
-    // (the sorted free variables below `env.length`).
-    def memoKey(cls: Int, env: List[Card]): (Int, List[Card]) = {
-      val fv = fvTable.getOrElse(cls, Set.empty)
-      (cls, fv.toList.sorted.takeWhile(_ < env.length).map(i => qc(env(i))))
-    }
+    // (those at the class's free variables below `env.length`).
+    def memoKey(cls: Int, env: List[Card]): (Int, List[Card]) =
+      (cls, fv.select(cls, env).map(qc))
 
     // ---- env-aware search over every node of a class -----------------------
     // A class already on the recursion path is cut, whatever the

@@ -7,8 +7,9 @@ import scala.collection.mutable
 /** Right-hand-side templates for rewrite rules. [[RVar]] reuses the
   * matched e-class directly (no shifting); [[RRemap]] extracts the
   * matched class's smallest representative, remaps its free De Bruijn
-  * indices, and re-inserts it — the standard workaround for moving terms
-  * across binders inside an e-graph (Sec. 5.4). */
+  * indices, and re-inserts it, once per class and iteration
+  * ([[RuleCtx]]) — the standard workaround for moving terms across
+  * binders inside an e-graph (Sec. 5.4). */
 sealed trait RT
 final case class RVar(n: String) extends RT
 final case class RNode(op: Op, cs: RT*) extends RT
@@ -36,6 +37,25 @@ final class RuleCtx(val eg: EGraph, reprs: Int => Option[Expr],
     * exact. Tests with equal keys share their answers. */
   def holds(key: Any, cls: Int)(test: Expr => Boolean): Boolean =
     facts.getOrElseUpdate((key, cls), test(repr(cls)))
+
+  private val remapped = mutable.HashMap.empty[RRemap, mutable.LongMap[Int]]
+
+  /** The class of `t` instantiated at class `cls`: the representative
+    * with its free indices remapped, inserted once per (class, template)
+    * and read back through `find` after that. The representatives are
+    * fixed for the whole iteration, so the same pair always gives the
+    * same term, and inserting it again would only copy nodes that hash
+    * differently until the next rebuild merges them. */
+  private[egraph] def remap(t: RRemap, cls: Int): Int = {
+    val byClass = remapped.getOrElseUpdate(t, mutable.LongMap.empty[Int])
+    byClass.get(cls.toLong) match {
+      case Some(id) => eg.find(id)
+      case None =>
+        val id = eg.addExpr(Expr.remapFree(repr(cls), t.f))
+        byClass(cls.toLong) = id
+        id
+    }
+  }
 }
 
 final case class Rule(
@@ -48,22 +68,28 @@ final case class Rule(
 
 object Rule {
 
-  /** Instantiate an RHS template, returning its e-class. */
-  def instantiate(ctx: RuleCtx, s: Subst, t: RT): Int = t match {
-    case RVar(n)    => s(n)
-    case RLit(e)    => ctx.eg.addExpr(e)
-    case RRemap(n, f) =>
-      ctx.eg.addExpr(Expr.remapFree(ctx.repr(s(n)), f))
+  /** An RHS template compiled, once, into the function from a match to
+    * the e-class it instantiates, as [[Program.compile]] does for the
+    * LHS. A node's op, then its children, left to right, are computed
+    * per match. */
+  private def compile(t: RT): (RuleCtx, Subst) => Int = t match {
+    case RVar(n)   => (_, s) => s(n)
+    case RLit(e)   => (ctx, _) => ctx.eg.addExpr(e)
+    case t: RRemap => (ctx, s) => ctx.remap(t, s(t.n))
     case RNode(op, cs @ _*) =>
-      ctx.eg.add(ENode(op, cs.toVector.map(instantiate(ctx, s, _))))
+      val children = cs.toVector.map(compile)
+      (ctx, s) => ctx.eg.add(ENode(op, children.map(_(ctx, s))))
     case RNodeF(opf, cs @ _*) =>
-      ctx.eg.add(ENode(opf(ctx, s), cs.toVector.map(instantiate(ctx, s, _))))
+      val children = cs.toVector.map(compile)
+      (ctx, s) => ctx.eg.add(ENode(opf(ctx, s), children.map(_(ctx, s))))
   }
 
   /** Simple rule: pattern -> template. */
   def simple(name: String, lhs: Pat, rhs: RT,
-             cond: (RuleCtx, Subst) => Boolean = (_, _) => true): Rule =
-    Rule(name, lhs, (ctx, s) => Some(instantiate(ctx, s, rhs)), cond)
+             cond: (RuleCtx, Subst) => Boolean = (_, _) => true): Rule = {
+    val instantiate = compile(rhs)
+    Rule(name, lhs, (ctx, s) => Some(instantiate(ctx, s)), cond)
+  }
 
   /** Condition on the representative of the class bound to `n`,
     * memoized per class for the iteration under `key` (see
@@ -93,17 +119,21 @@ final case class SatConfig(
     timeoutMs: Long = 60000)
 
 /** `stop` is why the run ended: [[RunStats.Saturated]], [[RunStats.NodeCap]],
-  * [[RunStats.IterCap]] or [[RunStats.Timeout]]. */
+  * [[RunStats.IterCap]] or [[RunStats.Timeout]]. The phase times split
+  * `timeMs` over the iterations: e-matching, rule application, rebuild,
+  * and the representative table of [[Extract.representatives]]. */
 final case class RunStats(
     timeMs: Double, iters: Int, nodes: Int, classes: Int, memos: Long,
-    stop: RunStats.Stop = RunStats.Saturated) {
+    stop: RunStats.Stop = RunStats.Saturated,
+    matchMs: Double = 0, applyMs: Double = 0, rebuildMs: Double = 0, reprMs: Double = 0) {
   def saturated: Boolean = stop == RunStats.Saturated
   /** Aggregate of consecutive runs; keeps the first stop reason that is
     * not [[RunStats.Saturated]]. */
   def +(o: RunStats): RunStats = RunStats(
     timeMs + o.timeMs, iters + o.iters, math.max(nodes, o.nodes),
     math.max(classes, o.classes), memos + o.memos,
-    if (stop != RunStats.Saturated) stop else o.stop)
+    if (stop != RunStats.Saturated) stop else o.stop,
+    matchMs + o.matchMs, applyMs + o.applyMs, rebuildMs + o.rebuildMs, reprMs + o.reprMs)
 }
 
 object RunStats {
@@ -127,38 +157,55 @@ object Saturate {
           symIsScalar: String => Boolean = _ => false): RunStats = {
     val t0 = System.nanoTime()
     def elapsed: Double = (System.nanoTime() - t0) / 1e6
+    var reprNs, matchNs, applyNs, rebuildNs = 0L
+    var last = 0L
+    /** Nanoseconds since the previous lap. */
+    def lap(): Long = {
+      val now = System.nanoTime()
+      val d = now - last
+      last = now
+      d
+    }
+
+    /** One iteration: match every rule against the e-graph, apply all
+      * the matches, and rebuild. False when it changed nothing. */
+    def step(): Boolean = {
+      lap()
+      val ctx = new RuleCtx(eg, Extract.representatives(eg), symIsScalar)
+      val versionBefore = eg.version
+      val memoBefore = eg.memoCount
+      reprNs += lap()
+
+      // Collect matches first (egg-style), then apply.
+      val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
+      val index = new RootIndex(eg, eg.classIds)
+      rules.foreach { rule =>
+        index.candidates(rule.program).foreach { cls =>
+          rule.program.search(eg, cls) { s =>
+            if (rule.cond(ctx, s)) matches += ((rule, s, cls))
+          }
+        }
+      }
+      matchNs += lap()
+
+      matches.foreach { case (rule, s, cls) =>
+        rule.rhs(ctx, s).foreach(newCls => eg.union(cls, newCls))
+      }
+      applyNs += lap()
+      eg.rebuild()
+      rebuildNs += lap()
+      eg.version != versionBefore || eg.memoCount != memoBefore
+    }
+
     @tailrec def loop(iter: Int): (Int, RunStats.Stop) =
       if (iter >= cfg.maxIters) (iter, RunStats.IterCap)
-      else if (!step(eg, rules, symIsScalar)) (iter + 1, RunStats.Saturated)
+      else if (!step()) (iter + 1, RunStats.Saturated)
       else if (eg.nodeCount >= cfg.maxNodes) (iter + 1, RunStats.NodeCap)
       else if (elapsed >= cfg.timeoutMs) (iter + 1, RunStats.Timeout)
       else loop(iter + 1)
     val (iters, stop) = loop(0)
-    RunStats(elapsed, iters, eg.nodeCount, eg.classCount, eg.memoCount, stop)
-  }
-
-  /** One iteration: match every rule against the e-graph, apply all the
-    * matches, and rebuild. False when it changed nothing. */
-  private def step(eg: EGraph, rules: Seq[Rule], symIsScalar: String => Boolean): Boolean = {
-    val ctx = new RuleCtx(eg, Extract.representatives(eg), symIsScalar)
-    val versionBefore = eg.version
-    val memoBefore = eg.memoCount
-
-    // Collect matches first (egg-style), then apply.
-    val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
-    val index = new RootIndex(eg, eg.classIds)
-    rules.foreach { rule =>
-      index.candidates(rule.program).foreach { cls =>
-        rule.program.search(eg, cls) { s =>
-          if (rule.cond(ctx, s)) matches += ((rule, s, cls))
-        }
-      }
-    }
-
-    matches.foreach { case (rule, s, cls) =>
-      rule.rhs(ctx, s).foreach(newCls => eg.union(cls, newCls))
-    }
-    eg.rebuild()
-    eg.version != versionBefore || eg.memoCount != memoBefore
+    RunStats(elapsed, iters, eg.nodeCount, eg.classCount, eg.memoCount, stop,
+      matchMs = matchNs / 1e6, applyMs = applyNs / 1e6, rebuildMs = rebuildNs / 1e6,
+      reprMs = reprNs / 1e6)
   }
 }

@@ -6,8 +6,10 @@ import repro.egraph.RunStats
 /** Table 4 reproduction: compilation metrics of the two-stage
   * equality-saturation optimization — Time (ms), Iterations, Nodes,
   * e-Classes, Memos — two rows per kernel (stage 1 = storage-independent,
-  * stage 2 = storage-aware), like the paper. The programs are
-  * `Table3.table4`: STOREL's Table 3 format picks. */
+  * stage 2 = storage-aware), like the paper, and the split of the time
+  * over e-matching, rule application, rebuild and the representative
+  * table. The programs are `Table3.table4`: STOREL's Table 3 format
+  * picks. */
 object Table4 {
 
   final case class Row(kernel: String, stage: Int, stats: RunStats)
@@ -37,12 +39,14 @@ object Table4 {
   def render(rows: Seq[Row]): String =
     Bench.table(
       Seq("Kernel", "Stage", "Time(ms)", "Iters", "Nodes", "Classes", "Memos", "Stop",
-          "Paper(T/I/N/C/M)"),
+          "Match(ms)", "Apply(ms)", "Rebuild(ms)", "Repr(ms)", "Paper(T/I/N/C/M)"),
       rows.map { r =>
         val p = paper.get((r.kernel, r.stage))
           .map { case (t, i, n, c, m) => s"$t/$i/$n/$c/$m" }.getOrElse("-")
         Seq(r.kernel, r.stage.toString, Bench.ms(r.stats.timeMs),
           r.stats.iters.toString, r.stats.nodes.toString,
-          r.stats.classes.toString, r.stats.memos.toString, r.stats.stop.toString, p)
+          r.stats.classes.toString, r.stats.memos.toString, r.stats.stop.toString,
+          Bench.ms(r.stats.matchMs), Bench.ms(r.stats.applyMs), Bench.ms(r.stats.rebuildMs),
+          Bench.ms(r.stats.reprMs), p)
       })
 }

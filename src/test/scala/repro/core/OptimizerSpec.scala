@@ -75,11 +75,33 @@ class OptimizerSpec extends AnyFunSuite {
       test(s"${p.kernel} optimizes correctly on ${p.formats.mkString(" x ")}")(checkProgram(p))
     }
 
+  // The pins are plan hashes (`PlanPinSpec.hash`) and estimated costs; a
+  // change that alters a plan on purpose updates its pin.
   test("Table 3 workload: no plan computes a loop-invariant loop inside its loop") {
-    val left = Table3.programs(Table3.defaultWorkload()).filter { p =>
-      HoistSpec.invariantLoops(Optimizer.optimize(p.tp, p.storages, p.extraCards).plan).nonEmpty
-    }.map(p => s"${p.kernel}/${p.format}")
-    assert(left.isEmpty)
+    val got = Table3.programs(Table3.defaultWorkload()).map { p =>
+      val res = Optimizer.optimize(p.tp, p.storages, p.extraCards)
+      val name = s"${p.kernel}/${p.format}"
+      assert(HoistSpec.invariantLoops(res.plan).isEmpty, s"$name\n${Expr.pretty(res.plan)}")
+      (name, PlanPinSpec.hash(res.plan), res.cost)
+    }
+    assert(got == Seq(
+      ("MMM/CSR,CSR", "fc3b92091e88", 238018.13826249994),
+      ("MMM/CSC,CSR", "5d60776a4fc9", 1.3089711999999998E7),
+      ("MMM/Dense,Dense", "023fad038fd1", 1.0283550100000001E8),
+      ("MMM/COO,COO", "0cf7b0ed916b", 1.33990675E7),
+      ("MMM/Trie,Trie", "ef6f88f743e4", 1086621.25),
+      ("SumMMM/CSC,CSR", "20993da778f6", 1152400.75),
+      ("SumMMM/CSR,CSR", "f8d4c9e53010", 22342.198074999997),
+      ("SumMMM/Dense,Dense", "7f8652aec93e", 786601.0),
+      ("SumMMM/Trie,Trie", "afdc6e4cacc0", 28125.0),
+      ("BATAX/CSR,Dense", "986bb6b3d7f4", 10201.0),
+      ("BATAX/Trie,Dense", "0c632ae842e4", 137625.0),
+      ("BATAX/Dense,Dense", "9e73a175a176", 990751.0),
+      ("BATAX/DCSR,Dense", "27d2073922c6", 75.47568340750158),
+      ("TTM/CSF,CSC", "e549996bdb65", 4141451.864447999),
+      ("TTM/CSF,CSR", "fe791c9839c2", 1118844.4451279999),
+      ("MTTKRP/CSF,CSR,CSC", "c063cd4a8eff", 230972.47981130646),
+      ("MTTKRP/CSF,CSR,CSR", "b09b05ef39d7", 516274.7794853725)))
   }
 
   // The statistics' widths come from `widthOf`'s walk over the TSMs, and

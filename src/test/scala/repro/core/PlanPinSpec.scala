@@ -13,10 +13,7 @@ import repro.storage.CooMat
   * plan may compute a loop-invariant loop inside its loop. */
 class PlanPinSpec extends AnyFunSuite {
 
-  private def hash(e: Expr): String =
-    java.security.MessageDigest.getInstance("SHA-256")
-      .digest(e.toString.getBytes(StandardCharsets.UTF_8))
-      .take(6).map(b => f"${b & 0xff}%02x").mkString
+  import PlanPinSpec.hash
 
   private def plans(ps: Seq[Table3.Program], cfg: Optimizer.Config): Seq[(String, String)] =
     ps.map { p =>
@@ -49,4 +46,12 @@ class PlanPinSpec extends AnyFunSuite {
       "SumMMM/CSC,CSR" -> "70df25948e58",
       "SumMMM/Dense,Dense" -> "4de876d666e4"))
   }
+}
+
+object PlanPinSpec {
+  /** The benchmark's plan hash. */
+  def hash(e: Expr): String =
+    java.security.MessageDigest.getInstance("SHA-256")
+      .digest(e.toString.getBytes(StandardCharsets.UTF_8))
+      .take(6).map(b => f"${b & 0xff}%02x").mkString
 }

@@ -201,11 +201,64 @@ class EGraphSpec extends AnyFunSuite {
   }
 
   test("RunStats aggregate with +") {
-    val a = RunStats(10, 2, 100, 50, 120)
-    val b = RunStats(5, 3, 80, 60, 90, stop = RunStats.NodeCap)
+    val a = RunStats(10, 2, 100, 50, 120, matchMs = 1, applyMs = 2, rebuildMs = 3, reprMs = 4)
+    val b = RunStats(5, 3, 80, 60, 90, stop = RunStats.NodeCap, matchMs = 0.5, reprMs = 1)
     val c = a + b
     assert(c.timeMs == 15 && c.iters == 5 && c.nodes == 100 && c.classes == 60)
     assert(c.memos == 210 && !c.saturated && c.stop == RunStats.NodeCap)
     assert((c + b.copy(stop = RunStats.Timeout)).stop == RunStats.NodeCap)
+    assert(c.matchMs == 1.5 && c.applyMs == 2 && c.rebuildMs == 3 && c.reprMs == 5)
+  }
+
+  test("saturation splits its time over matching, application, rebuild and representatives") {
+    val eg = new EGraph
+    eg.addExpr((1 to 6).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin(BinOp.Add, _, _)))
+    val stats = Saturate.run(eg, Rules.logical, SatConfig(maxIters = 5))
+    val phases = Seq(stats.matchMs, stats.applyMs, stats.rebuildMs, stats.reprMs)
+    assert(phases.forall(_ >= 0) && phases.exists(_ > 0), phases)
+    assert(phases.sum <= stats.timeMs, s"$phases against ${stats.timeMs}")
+  }
+
+  // a + b -> a' - b, with a's free variables shifted up by one
+  private val shiftLeft = Rule.simple("shiftLeft",
+    PNode(Op.Bin(BinOp.Add), Vector(PVar("a"), PVar("b"))),
+    RNode(Op.Bin(BinOp.Sub), RRemap("a", _ + 1), RVar("b")))
+  private val xc = Bin(BinOp.Mul, Vr(0), Sym("c"))
+
+  test("one iteration inserts a class's shifted term once, at every match") {
+    // (v0*c + p) * (v0*c + q): the rule matches both sums, at the class of v0*c
+    val eg = new EGraph
+    eg.addExpr(Bin(BinOp.Mul, Bin(BinOp.Add, xc, Sym("p")), Bin(BinOp.Add, xc, Sym("q"))))
+    val memos = eg.memoCount
+    Saturate.run(eg, Seq(shiftLeft), SatConfig(maxIters = 1))
+    // the shifted term's two nodes, v1 and v1*c, then one - per match
+    assert(eg.memoCount == memos + 2 + 2)
+    val shifted = eg.find(eg.addExpr(Bin(BinOp.Mul, Vr(1), Sym("c"))))
+    val subs = eg.classes.values.flatten.filter(_.op == Op.Bin(BinOp.Sub)).toSeq
+    assert(subs.size == 2 && subs.forall(n => eg.find(n.children(0)) == shifted))
+  }
+
+  test("the shifted term is read back through find after a union, and only in its iteration") {
+    val eg = new EGraph
+    val x = eg.addExpr(xc)
+    val template = RRemap("a", _ + 1)
+    val ctx = new RuleCtx(eg, Extract.representatives(eg))
+    val first = ctx.remap(template, x)
+    // c joins a larger class, so v1*c is no longer hash-consed under its
+    // canonical form until a rebuild; the cache does not insert it again
+    val c = eg.addExpr(Sym("c"))
+    eg.union(eg.addExpr(Sym("d")), eg.addExpr(Sym("e")))
+    eg.union(eg.addExpr(Sym("d")), c)
+    val memos = eg.memoCount
+    assert(ctx.remap(template, x) == eg.find(first) && eg.memoCount == memos)
+    eg.rebuild()
+    // x gets the smaller representative v2, which the next iteration's
+    // context shifts to v3
+    eg.union(x, eg.addExpr(Vr(2)))
+    eg.rebuild()
+    val next = new RuleCtx(eg, Extract.representatives(eg))
+    assert(ctx.remap(template, x) == eg.find(first))
+    assert(next.remap(template, x) == eg.find(eg.addExpr(Vr(3))))
+    assert(eg.find(eg.addExpr(Vr(3))) != eg.find(first))
   }
 }

@@ -2,10 +2,12 @@ package repro.egraph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.meas.Table3
 import scala.collection.mutable
 
 /** The contract of extraction: representatives, cycles, unbound
-  * variables, and cost-based extraction of deep terms. */
+  * variables, the free-variable table, and cost-based extraction of deep
+  * terms. */
 class ExtractSpec extends AnyFunSuite {
 
   private def add(a: Expr, b: Expr): Expr = Bin(BinOp.Add, a, b)
@@ -82,5 +84,83 @@ class ExtractSpec extends AnyFunSuite {
     val root = eg.addExpr(chain)
     val cm = new CostModel(Stats(Map("s" -> Card.scalar)))
     assert(cm.extract(eg, root) == ((chain, 250.0)))
+  }
+
+  /** The free-variable table as a fixpoint over sets of indices: the
+    * reference [[FreeVars]] is checked against. */
+  private def freeVarSets(nodesOf: collection.Map[Int, Seq[ENode]]): Map[Int, Set[Int]] = {
+    val table = mutable.HashMap.empty[Int, Set[Int]]
+    var changed = true
+    while (changed) {
+      changed = false
+      nodesOf.foreach { case (cid, nodes) =>
+        var s = table.getOrElse(cid, Set.empty)
+        nodes.foreach { n =>
+          n.op match {
+            case Op.Var(i) => s = s + i
+            case op =>
+              n.children.indices.foreach { i =>
+                s = s ++ table.getOrElse(n.children(i), Set.empty)
+                  .map(_ - op.binds(i)).filter(_ >= 0)
+              }
+          }
+        }
+        if (s != table.getOrElse(cid, Set.empty)) {
+          table(cid) = s; changed = true
+        }
+      }
+    }
+    table.toMap
+  }
+
+  /** Every class's canonicalized distinct nodes, as extraction reads them. */
+  private def nodesOf(eg: EGraph): collection.Map[Int, Seq[ENode]] =
+    eg.classes.map { case (cid, nodes) => cid -> nodes.iterator.map(eg.canonicalize).toVector.distinct }
+
+  /** [[FreeVars]] selects, for every class, the entries at the oracle's
+    * indices, in order; some class has one. */
+  private def assertOracleFreeVars(eg: EGraph): Unit = {
+    val nodes = nodesOf(eg)
+    val oracle = freeVarSets(nodes)
+    val fv = FreeVars(nodes)
+    val env = List.range(0, 1000)
+    assert(oracle.valuesIterator.flatten.nonEmpty)
+    assert(oracle.valuesIterator.flatten.forall(_ < env.length))
+    nodes.keys.foreach { cls =>
+      assert(fv.select(cls, env) == oracle.getOrElse(cls, Set.empty).toList.sorted, s"class $cls")
+    }
+  }
+
+  test("free-variable bits agree with the set fixpoint on two stage-2 e-graphs") {
+    val w = Table3.defaultWorkload()
+    val cfg = Optimizer.Config()
+    Seq("SumMMM" -> "CSC,CSR", "MMM" -> "CSR,CSR").foreach { case (kernel, format) =>
+      val p = Table3.program(w, kernel, format)
+      val (tp1, _, _) = Optimizer.saturateRounds(p.tp, Rules.logical,
+        Optimizer.logicalStats(p.storages, p.extraCards), cfg.stage1, cfg.rounds1, cfg.params)
+      val stats = Optimizer.physicalStats(p.storages, p.extraCards)
+      val eg = new EGraph
+      eg.addExpr(Optimizer.compose(tp1, p.storages))
+      Saturate.run(eg, Rules.physicalStage, cfg.stage2, n => stats.card(n).isScalar)
+      assert(eg.nodeCount > 100, s"$kernel/$format")
+      assertOracleFreeVars(eg)
+    }
+  }
+
+  test("free-variable bits cross the 64-bit word boundary") {
+    // 40 nested sums bind 80 variables; the body reads indices on both
+    // sides of 64, and four that are still free outside every sum
+    val reads = Seq(0, 1, 62, 63, 64, 65, 79, 80, 85, 143, 150)
+    val term = (1 to 40).foldLeft(reads.map(i => Vr(i): Expr).reduceLeft(add))(
+      (e, _) => Sum(Sym("A"), e))
+    val eg = new EGraph
+    val root = eg.addExpr(term)
+    assertOracleFreeVars(eg)
+    val fv = FreeVars(nodesOf(eg))
+    assert(fv.select(root, List.range(0, 100)) == List(0, 5, 63, 70))
+    // an environment shorter than the free indices selects those it holds
+    assert(fv.select(root, List.range(0, 64)) == List(0, 5, 63))
+    val body = eg.find(eg.addExpr(reads.map(i => Vr(i): Expr).reduceLeft(add)))
+    assert(fv.select(body, List.range(0, 200)) == reads)
   }
 }
