@@ -209,19 +209,19 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     /** The children of `n`, costed by `lu` per (class, env). */
     class ClassChildren(n: ENode, lu: (Int, List[Card]) => Option[Res]) extends Children {
       def res(i: Int, env: List[Card]): Option[Res] = lu(n.children(i), env)
-      def ops(i: Int): Iterator[Op] = eg.classes(n.children(i)).iterator.map(_.op)
+      def ops(i: Int): Iterator[Op] = eg.nodes(n.children(i)).iterator.map(_.op)
     }
 
-    // Every class's canonicalized distinct nodes: the search reads them all.
-    val nodesOf = eg.classes.map { case (cid, nodes) =>
-      cid -> nodes.iterator.map(eg.canonicalize).toVector.distinct
-    }
+    // Every class's canonicalized distinct nodes, by class id: the search reads them all.
+    val ids = eg.classIds
+    val nodesOf = new Array[Vector[ENode]](eg.idBound)
+    ids.foreach(cid => nodesOf(cid) = eg.nodes(cid).iterator.map(eg.canonicalize).toVector.distinct)
 
     // ---- free variables per class ------------------------------------------
     // Memo keys in the search are restricted to the env entries a class can
     // actually read; otherwise path-dependent env chains explode the
     // (class, env) space.
-    val fv = FreeVars(nodesOf)
+    val fv = FreeVars(ids, nodesOf)
 
     // A class may be reached at a shallower depth than some of its nodes
     // can be costed at: a rule such as `a*0 → 0` unions a node that reads a

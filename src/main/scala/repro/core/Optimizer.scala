@@ -111,7 +111,9 @@ object Optimizer {
     * out by [[Hoist]], if `cm` costs that no higher; and the cost of the
     * plan returned. Saturation cannot find these plans: the one
     * loop-invariant rule, LICM, matches only an invariant `sum` that
-    * multiplies a dictionary entry's value. */
+    * multiplies a dictionary entry's value. Nor does this step make the
+    * rule redundant: without it, `compile-table4`'s BATAX/CSR,Dense plan
+    * costs 17,401 instead of 10,201 and runs about 3x slower. */
   def hoist(plan: Expr, cost: Double, cm: CostModel): (Expr, Double) = {
     val floated = Hoist(plan)
     if (floated eq plan) (plan, cost)

@@ -3,12 +3,12 @@ package repro.core
 import repro.egraph._
 import scala.util.Try
 
-/** The rewrite-rule base (Fig. 3 and Sec. 5.6). Rule names follow the
-  * paper where a rule is shown there (A*, C*, L*, D*, F*, T*); the rest
-  * are the unlisted members of the paper's "44 rules": constant folding,
-  * if-merging, loop interchange, loop-invariant code motion, let
-  * inlining, sub-array iteration, unnesting, and the physical
-  * dense/hash lowering rules.
+/** The rewrite-rule base (Fig. 3 and Sec. 5.6): 58 rules. The 41 named
+  * A*, C*, L*, D*, F*, T* carry Fig. 3's names (suffixes mark directions
+  * and variants); the paper does not list the other 17: `+` associativity,
+  * `&&` commutativity, dictionary-product loops, `==` reflexivity,
+  * constant and if folding, if-merging, unnesting, let inlining, LICM,
+  * loop interchange, sub-array iteration and physical dense/hash lowering.
   *
   * De Bruijn discipline (binder arities: let=1, sum=2, merge=3): a rule
   * whose RHS moves a matched subterm across binders uses [[RRemap]],

@@ -9,23 +9,29 @@ final case class ENode(op: Op, children: Vector[Int]) {
 }
 
 /** E-graph with union-find, hash-consing, and congruence rebuilding —
-  * the from-scratch substrate standing in for Egg (Sec. 5.3).
+  * the from-scratch substrate standing in for Egg (Sec. 5.3). A class id
+  * indexes every per-class table; an id is live iff `find(id) == id`,
+  * and its entries are null once it is merged away.
   */
 final class EGraph {
 
   private val parent = mutable.ArrayBuffer.empty[Int]
   /** Canonicalized node -> class id ("memo" table). */
-  val hashcons = mutable.HashMap.empty[ENode, Int]
-  /** Canonical class id -> its e-nodes. */
-  val classes = mutable.HashMap.empty[Int, mutable.ArrayBuffer[ENode]]
-  /** Canonical class id -> (parent node as inserted, parent class). */
-  private val parents = mutable.HashMap.empty[Int, mutable.ArrayBuffer[(ENode, Int)]]
+  private val hashcons = mutable.HashMap.empty[ENode, Int]
+  /** Class id -> its e-nodes. */
+  private val classes = mutable.ArrayBuffer.empty[mutable.ArrayBuffer[ENode]]
+  /** Class id -> (parent node as inserted, parent class). */
+  private val parents = mutable.ArrayBuffer.empty[mutable.ArrayBuffer[(ENode, Int)]]
   private val worklist = mutable.ArrayBuffer.empty[Int]
 
   /** Total distinct e-nodes ever memoized (Table 4's "Memos" column). */
   var memoCount: Long = 0L
   /** Bumped on every union — lets cached analyses invalidate. */
   var version: Long = 0L
+  /** E-nodes across all classes, and live classes: counted as they
+    * change, so that reading them costs nothing. */
+  private var nodeTotal = 0
+  private var live = 0
 
   def find(id: Int): Int = {
     var x = id
@@ -38,11 +44,31 @@ final class EGraph {
 
   def canonicalize(n: ENode): ENode = n.map(find)
 
-  /** Number of e-nodes currently stored across all classes, kept by
-    * `add` and `repair` so that reading it costs nothing. */
-  private var nodes = 0
-  def nodeCount: Int = nodes
-  def classCount: Int = classes.size
+  /** The size of a table indexed by class id: one more than the largest. */
+  def idBound: Int = parent.length
+
+  /** The e-nodes of the class of `id`, as inserted (not canonicalized). */
+  def nodes(id: Int): collection.IndexedSeq[ENode] = classes(find(id))
+
+  /** Replaces the nodes of live class `cls`, with no other upkeep, so a
+    * test can build a class that `add` and `union` cannot: say, one whose
+    * only node is cyclic. */
+  private[egraph] def setNodes(cls: Int, ns: Seq[ENode]): Unit =
+    classes(cls) = mutable.ArrayBuffer.from(ns)
+
+  /** The live class ids, in increasing order. */
+  def classIds: Vector[Int] = {
+    val ids = Vector.newBuilder[Int]
+    var i = 0
+    while (i < parent.length) {
+      if (parent(i) == i) ids += i
+      i += 1
+    }
+    ids.result()
+  }
+
+  def nodeCount: Int = nodeTotal
+  def classCount: Int = live
 
   def add(n0: ENode): Int = {
     val n = canonicalize(n0)
@@ -51,11 +77,12 @@ final class EGraph {
       case None =>
         val id = parent.length
         parent += id
-        classes(id) = mutable.ArrayBuffer(n)
-        parents(id) = mutable.ArrayBuffer.empty
+        classes += mutable.ArrayBuffer(n)
+        parents += mutable.ArrayBuffer.empty
         hashcons(n) = id
         memoCount += 1
-        nodes += 1
+        nodeTotal += 1
+        live += 1
         n.children.foreach { c => parents(find(c)) += ((n, id)) }
         id
     }
@@ -69,9 +96,10 @@ final class EGraph {
     val (big, small) = if (classes(a).size >= classes(b).size) (a, b) else (b, a)
     parent(small) = big
     classes(big) ++= classes(small)
-    classes.remove(small)
+    classes(small) = null
     parents(big) ++= parents(small)
-    parents.remove(small)
+    parents(small) = null
+    live -= 1
     worklist += big
     big
   }
@@ -87,8 +115,7 @@ final class EGraph {
   }
 
   private def repair(id0: Int): Unit = {
-    val id = find(id0)
-    val ps = parents.getOrElse(id, mutable.ArrayBuffer.empty).toVector
+    val ps = parents(find(id0)).toVector
     val newParents = mutable.HashMap.empty[ENode, Int]
     ps.foreach { case (pNode, pClass) =>
       val canon = canonicalize(pNode)
@@ -102,21 +129,19 @@ final class EGraph {
         case None => newParents(canon) = find(pClass)
       }
     }
-    if (parents.contains(find(id0))) {
-      parents(find(id0)) = mutable.ArrayBuffer.from(
-        newParents.iterator.map { case (n, c) => (n, find(c)) })
-    }
-    // dedupe the class's own nodes after canonicalization
+    // the unions above may have merged the class away: work on its root
     val cid = find(id0)
-    classes.get(cid).foreach { ns =>
-      val canon = ns.map(canonicalize).distinct
-      nodes += canon.size - ns.size
-      classes(cid) = mutable.ArrayBuffer.from(canon)
-      canon.foreach { n =>
-        hashcons.get(n) match {
-          case Some(other) if find(other) != cid => union(other, cid)
-          case _ => hashcons(n) = cid
-        }
+    parents(cid) = mutable.ArrayBuffer.from(
+      newParents.iterator.map { case (n, c) => (n, find(c)) })
+    // dedupe the class's own nodes after canonicalization
+    val ns = classes(cid)
+    val canon = ns.map(canonicalize).distinct
+    nodeTotal += canon.size - ns.size
+    classes(cid) = mutable.ArrayBuffer.from(canon)
+    canon.foreach { n =>
+      hashcons.get(n) match {
+        case Some(other) if find(other) != cid => union(other, cid)
+        case _ => hashcons(n) = cid
       }
     }
   }
@@ -127,8 +152,4 @@ final class EGraph {
     val (op, cs) = Op.decompose(e)
     add(ENode(op, cs.map(addExpr)))
   }
-
-  /** All canonical class ids: the keys of `classes`, since `add` keys a
-    * fresh root and `union` removes the class it merges away. */
-  def classIds: Vector[Int] = classes.keysIterator.toVector
 }

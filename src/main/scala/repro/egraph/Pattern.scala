@@ -74,7 +74,7 @@ final class Program private[egraph] (
       else instrs(pc) match {
         case Compare(a, b) => if (regs(a) == regs(b)) step(pc + 1)
         case b: Bind =>
-          val nodes = eg.classes(regs(b.in))
+          val nodes = eg.nodes(regs(b.in))
           var i = 0
           while (i < nodes.length) {
             val n = nodes(i)
@@ -144,7 +144,7 @@ final class RootIndex(eg: EGraph, ids: Vector[Int]) {
   private val byPred = mutable.HashMap.empty[Op => Boolean, Vector[Int]]
 
   ids.foreach { cls =>
-    eg.classes(cls).foreach { n =>
+    eg.nodes(cls).foreach { n =>
       val bucket = byOp.getOrElseUpdate(n.op, mutable.ArrayBuffer.empty)
       if (bucket.isEmpty || bucket.last != cls) bucket += cls
     }
@@ -154,7 +154,7 @@ final class RootIndex(eg: EGraph, ids: Vector[Int]) {
     if (p.rootOp != null) byOp.getOrElse(p.rootOp, Vector.empty)
     else if (p.rootPred != null)
       byPred.getOrElseUpdate(p.rootPred,
-        ids.filter(cls => eg.classes(cls).exists(n => p.rootPred(n.op))))
+        ids.filter(cls => eg.nodes(cls).exists(n => p.rootPred(n.op))))
     else ids
 }
 

@@ -171,14 +171,15 @@ object Saturate {
       * the matches, and rebuild. False when it changed nothing. */
     def step(): Boolean = {
       lap()
-      val ctx = new RuleCtx(eg, Extract.representatives(eg), symIsScalar)
+      val ids = eg.classIds
+      val ctx = new RuleCtx(eg, Extract.representatives(eg, ids), symIsScalar)
       val versionBefore = eg.version
       val memoBefore = eg.memoCount
       reprNs += lap()
 
       // Collect matches first (egg-style), then apply.
       val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
-      val index = new RootIndex(eg, eg.classIds)
+      val index = new RootIndex(eg, ids)
       rules.foreach { rule =>
         index.candidates(rule.program).foreach { cls =>
           rule.program.search(eg, cls) { s =>

@@ -55,8 +55,8 @@ class RulesSpec extends AnyFunSuite {
   /** One expression per e-node of the root class (children realized via
     * their smallest representatives). */
   private def variantsOf(eg: EGraph, root: Int): Seq[Expr] = {
-    val repr = Extract.representatives(eg)
-    eg.classes(eg.find(root)).toSeq.map(eg.canonicalize).distinct.flatMap { n =>
+    val repr = Extract.representatives(eg, eg.classIds)
+    eg.nodes(root).toSeq.map(eg.canonicalize).distinct.flatMap { n =>
       val cs = n.children.map(repr)
       if (cs.forall(_.isDefined)) Some(n.op.compose(cs.map(_.get))) else None
     }
@@ -67,7 +67,7 @@ class RulesSpec extends AnyFunSuite {
     val eg = new EGraph
     val root = eg.addExpr(witness)
     Saturate.run(eg, Seq(rule("Fold")), SatConfig(maxIters = 1))
-    eg.classes(eg.find(root)).collectFirst { case ENode(Op.Num(d), _) => d }
+    eg.nodes(root).collectFirst { case ENode(Op.Num(d), _) => d }
   }
 
   private def s(n: String) = Sym(n)

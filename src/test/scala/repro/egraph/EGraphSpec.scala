@@ -55,7 +55,15 @@ class EGraphSpec extends AnyFunSuite {
   }
 
   test("nodeCount equals a full recount after random adds, unions and rebuilds") {
-    def recount(eg: EGraph): Int = eg.classes.valuesIterator.map(_.size).sum
+    /** The live classes in increasing id order, and the counters agree
+      * with a recount over them. */
+    def check(eg: EGraph, seed: Int): Unit = {
+      val ids = eg.classIds
+      assert(ids.zip(ids.drop(1)).forall { case (a, b) => a < b }, s"seed $seed")
+      assert(ids == (0 until eg.idBound).filter(i => eg.find(i) == i), s"seed $seed")
+      assert(eg.classCount == ids.size, s"seed $seed")
+      assert(eg.nodeCount == ids.map(eg.nodes(_).size).sum, s"seed $seed")
+    }
     (1 to 20).foreach { seed =>
       val rnd = new scala.util.Random(seed)
       val eg = new EGraph
@@ -70,10 +78,10 @@ class EGraphSpec extends AnyFunSuite {
           case 6 => eg.rebuild()
           case _ => ids += eg.add(ENode(Op.Sym(s"s${rnd.nextInt(8)}"), Vector.empty))
         }
-        assert(eg.nodeCount == recount(eg), s"seed $seed")
+        check(eg, seed)
       }
       eg.rebuild()
-      assert(eg.nodeCount == recount(eg), s"seed $seed")
+      check(eg, seed)
     }
   }
 
@@ -111,7 +119,8 @@ class EGraphSpec extends AnyFunSuite {
       eg.addExpr(Bin(BinOp.Add, Num(Double.NaN), Num(-0.0))))
   }
 
-  private def smallest(eg: EGraph, cls: Int): Expr = Extract.representatives(eg)(eg.find(cls)).get
+  private def smallest(eg: EGraph, cls: Int): Expr =
+    Extract.representatives(eg, eg.classIds)(eg.find(cls)).get
 
   test("addExpr then extract smallest returns an equivalent term") {
     val eg = new EGraph
@@ -234,7 +243,7 @@ class EGraphSpec extends AnyFunSuite {
     // the shifted term's two nodes, v1 and v1*c, then one - per match
     assert(eg.memoCount == memos + 2 + 2)
     val shifted = eg.find(eg.addExpr(Bin(BinOp.Mul, Vr(1), Sym("c"))))
-    val subs = eg.classes.values.flatten.filter(_.op == Op.Bin(BinOp.Sub)).toSeq
+    val subs = eg.classIds.flatMap(eg.nodes).filter(_.op == Op.Bin(BinOp.Sub))
     assert(subs.size == 2 && subs.forall(n => eg.find(n.children(0)) == shifted))
   }
 
@@ -242,7 +251,7 @@ class EGraphSpec extends AnyFunSuite {
     val eg = new EGraph
     val x = eg.addExpr(xc)
     val template = RRemap("a", _ + 1)
-    val ctx = new RuleCtx(eg, Extract.representatives(eg))
+    val ctx = new RuleCtx(eg, Extract.representatives(eg, eg.classIds))
     val first = ctx.remap(template, x)
     // c joins a larger class, so v1*c is no longer hash-consed under its
     // canonical form until a rebuild; the cache does not insert it again
@@ -256,7 +265,7 @@ class EGraphSpec extends AnyFunSuite {
     // context shifts to v3
     eg.union(x, eg.addExpr(Vr(2)))
     eg.rebuild()
-    val next = new RuleCtx(eg, Extract.representatives(eg))
+    val next = new RuleCtx(eg, Extract.representatives(eg, eg.classIds))
     assert(ctx.remap(template, x) == eg.find(first))
     assert(next.remap(template, x) == eg.find(eg.addExpr(Vr(3))))
     assert(eg.find(eg.addExpr(Vr(3))) != eg.find(first))

@@ -36,7 +36,7 @@ object RecursiveMatcher {
   }
 
   private def nodesOf(eg: EGraph, cls: Int): Seq[ENode] =
-    eg.classes.getOrElse(eg.find(cls), mutable.ArrayBuffer.empty).toSeq
+    eg.nodes(cls).toSeq
 
   private def goChildren(eg: EGraph, pats: Vector[Pat], kids: Vector[Int],
                          s: Binding): Seq[Binding] =
