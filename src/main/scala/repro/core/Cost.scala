@@ -208,8 +208,8 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
 
     /** The children of `n`, costed by `lu` per (class, env). */
     class ClassChildren(n: ENode, lu: (Int, List[Card]) => Option[Res]) extends Children {
-      def res(i: Int, env: List[Card]): Option[Res] = lu(n.children(i), env)
-      def ops(i: Int): Iterator[Op] = eg.nodes(n.children(i)).iterator.map(_.op)
+      def res(i: Int, env: List[Card]): Option[Res] = lu(n.child(i), env)
+      def ops(i: Int): Iterator[Op] = eg.nodes(n.child(i)).iterator.map(_.op)
     }
 
     // Every class's canonicalized distinct nodes, by class id: the search reads them all.
@@ -261,11 +261,11 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
     def noTerm(cls: Int) = new IllegalStateException(s"no finite-cost term for class $cls")
     def build(cls: Int, env: List[Card]): Expr = {
       val (_, _, n) = best(cls, env).getOrElse(throw noTerm(cls))
-      val envs = new Array[List[Card]](n.children.length)
+      val envs = new Array[List[Card]](n.arity)
       nodeCost(n.op, env, new ClassChildren(n, bestLu) {
         override def res(i: Int, e: List[Card]): Option[Res] = { envs(i) = e; super.res(i, e) }
       }).getOrElse(throw noTerm(cls))
-      n.op.compose(n.children.indices.toVector.map(i => build(n.children(i), envs(i))))
+      n.op.compose(Vector.tabulate(n.arity)(i => build(n.child(i), envs(i))))
     }
 
     val top = eg.find(root)

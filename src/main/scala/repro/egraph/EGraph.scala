@@ -1,11 +1,60 @@
 package repro.egraph
 
 import repro.core.Expr
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import scala.util.hashing.MurmurHash3
 
-/** An e-node: an operator with e-class children. */
-final case class ENode(op: Op, children: Vector[Int]) {
-  def map(f: Int => Int): ENode = ENode(op, children.map(f))
+/** An e-node: an operator with e-class children, held flat as egg holds
+  * them (Willsey et al., POPL 2021). The children are an array that only
+  * the node can reach, and the hash is taken once, from the op's hash and
+  * the child ids, so hash-consing neither boxes nor re-hashes children. */
+final class ENode private (val op: Op, private val cs: Array[Int]) {
+  require(cs.length == op.arity, s"$op takes ${op.arity} children, not ${cs.length}")
+
+  private val hash: Int = {
+    var h = op.hashCode
+    var i = 0
+    while (i < cs.length) {
+      h = MurmurHash3.mix(h, cs(i))
+      i += 1
+    }
+    MurmurHash3.finalizeHash(h, cs.length)
+  }
+
+  def arity: Int = cs.length
+  def child(i: Int): Int = cs(i)
+  /** The children, as a read-only view of the node's array. */
+  def children: ArraySeq[Int] = ArraySeq.unsafeWrapArray(cs)
+
+  /** The node with `f` applied to every child: this node itself when `f`
+    * changes none. */
+  def map(f: Int => Int): ENode = {
+    var out: Array[Int] = null
+    var i = 0
+    while (i < cs.length) {
+      val c = f(cs(i))
+      if (out == null && c != cs(i)) out = cs.clone()
+      if (out != null) out(i) = c
+      i += 1
+    }
+    if (out == null) this else new ENode(op, out)
+  }
+
+  override def hashCode: Int = hash
+  override def equals(o: Any): Boolean = o match {
+    case n: ENode =>
+      (n eq this) || (n.hash == hash && n.op == op && java.util.Arrays.equals(n.cs, cs))
+    case _ => false
+  }
+  override def toString: String = cs.mkString(s"ENode($op, ", ", ", ")")
+}
+
+object ENode {
+  /** A node over a copy of `children`. */
+  def apply(op: Op, children: Array[Int]): ENode = new ENode(op, children.clone())
+  /** A node over `children` itself, which the caller must not change. */
+  private[egraph] def owning(op: Op, children: Array[Int]): ENode = new ENode(op, children)
 }
 
 /** E-graph with union-find, hash-consing, and congruence rebuilding —
@@ -42,7 +91,10 @@ final class EGraph {
     x
   }
 
-  def canonicalize(n: ENode): ENode = n.map(find)
+  private val findF: Int => Int = find
+
+  /** `n` with canonical children: `n` itself when they already are. */
+  def canonicalize(n: ENode): ENode = n.map(findF)
 
   /** The size of a table indexed by class id: one more than the largest. */
   def idBound: Int = parent.length
@@ -72,19 +124,23 @@ final class EGraph {
 
   def add(n0: ENode): Int = {
     val n = canonicalize(n0)
-    hashcons.get(n) match {
-      case Some(id) => find(id)
-      case None =>
-        val id = parent.length
-        parent += id
-        classes += mutable.ArrayBuffer(n)
-        parents += mutable.ArrayBuffer.empty
-        hashcons(n) = id
-        memoCount += 1
-        nodeTotal += 1
-        live += 1
-        n.children.foreach { c => parents(find(c)) += ((n, id)) }
-        id
+    val known = hashcons.getOrElse(n, -1)
+    if (known >= 0) find(known)
+    else {
+      val id = parent.length
+      parent += id
+      classes += mutable.ArrayBuffer(n)
+      parents += mutable.ArrayBuffer.empty
+      hashcons(n) = id
+      memoCount += 1
+      nodeTotal += 1
+      live += 1
+      var i = 0
+      while (i < n.arity) {
+        parents(find(n.child(i))) += ((n, id))
+        i += 1
+      }
+      id
     }
   }
 
@@ -105,7 +161,9 @@ final class EGraph {
   }
 
   /** Restore congruence: re-canonicalize parent nodes of merged classes
-    * and union classes whose nodes became identical. */
+    * and union classes whose nodes became identical. Every step visits
+    * nodes in list order and keeps first occurrences, so the unions it
+    * makes, and the ids they keep, do not depend on how nodes hash. */
   def rebuild(): Unit = {
     while (worklist.nonEmpty) {
       val todo = worklist.distinct.map(find).toVector
@@ -115,41 +173,70 @@ final class EGraph {
   }
 
   private def repair(id0: Int): Unit = {
-    val ps = parents(find(id0)).toVector
-    val newParents = mutable.HashMap.empty[ENode, Int]
+    // Take the parents out: a union below that merges another class into
+    // this one appends that class's parents to the emptied list, and they
+    // stay there beside the repaired ones.
+    val ps = parents(find(id0))
+    parents(find(id0)) = mutable.ArrayBuffer.empty
+    val newParents = mutable.LinkedHashMap.empty[ENode, Int]
     ps.foreach { case (pNode, pClass) =>
       val canon = canonicalize(pNode)
-      hashcons.remove(pNode)
-      hashcons.get(canon) match {
-        case Some(existing) => union(existing, pClass)
-        case None => hashcons(canon) = find(pClass)
+      if (canon eq pNode) hashcons(canon) = find(pClass)
+      else {
+        hashcons.remove(pNode)
+        val existing = hashcons.getOrElse(canon, -1)
+        if (existing >= 0) union(existing, pClass)
+        else hashcons(canon) = find(pClass)
       }
-      newParents.get(canon) match {
-        case Some(other) => union(other, pClass)
-        case None => newParents(canon) = find(pClass)
-      }
+      val other = newParents.getOrElse(canon, -1)
+      if (other >= 0) union(other, pClass)
+      else newParents(canon) = find(pClass)
     }
     // the unions above may have merged the class away: work on its root
     val cid = find(id0)
-    parents(cid) = mutable.ArrayBuffer.from(
-      newParents.iterator.map { case (n, c) => (n, find(c)) })
+    parents(cid) ++= newParents.iterator.map { case (n, c) => (n, find(c)) }
     // dedupe the class's own nodes after canonicalization
     val ns = classes(cid)
     val canon = ns.map(canonicalize).distinct
     nodeTotal += canon.size - ns.size
     classes(cid) = mutable.ArrayBuffer.from(canon)
     canon.foreach { n =>
-      hashcons.get(n) match {
-        case Some(other) if find(other) != cid => union(other, cid)
-        case _ => hashcons(n) = cid
-      }
+      val other = hashcons.getOrElse(n, -1)
+      if (other >= 0 && find(other) != cid) union(other, cid)
+      else hashcons(n) = cid
     }
   }
 
   // ---- Expr <-> e-graph -----------------------------------------------------
 
+  /** Adds `e` bottom-up: each node after its children, left to right, as
+    * a recursive walk would, but on an explicit stack, so that the depth
+    * of `e` is not bounded by the thread's stack. */
   def addExpr(e: Expr): Int = {
-    val (op, cs) = Op.decompose(e)
-    add(ENode(op, cs.map(addExpr)))
+    // a node whose children are being added: the next child's index, and
+    // the classes of those before it
+    final class Frame(val op: Op, val cs: Vector[Expr]) {
+      val ids = new Array[Int](cs.length)
+      var next = 0
+    }
+    def frame(e: Expr): Frame = {
+      val (op, cs) = Op.decompose(e)
+      new Frame(op, cs)
+    }
+    var stack = List(frame(e))
+    var id = -1
+    while (stack.nonEmpty) {
+      val top = stack.head
+      if (top.next < top.cs.length) stack = frame(top.cs(top.next)) :: stack
+      else {
+        stack = stack.tail
+        id = add(ENode.owning(top.op, top.ids))
+        if (stack.nonEmpty) {
+          stack.head.ids(stack.head.next) = id
+          stack.head.next += 1
+        }
+      }
+    }
+    id
   }
 }

@@ -27,10 +27,11 @@ object Extract {
       ids.foreach { cid =>
         eg.nodes(cid).foreach { n0 =>
           var s = 1
-          val cs = n0.children.iterator
-          while (s > 0 && cs.hasNext) {
-            val c = size(eg.find(cs.next()))
+          var i = 0
+          while (s > 0 && i < n0.arity) {
+            val c = size(eg.find(n0.child(i)))
             s = if (c == 0) 0 else s + c
+            i += 1
           }
           if (s > 0 && (size(cid) == 0 || s < size(cid))) {
             size(cid) = s
@@ -44,7 +45,7 @@ object Extract {
     def build(cls: Int): Expr = {
       if (term(cls) == null) {
         val n = node(cls)
-        term(cls) = n.op.compose(n.children.map(build))
+        term(cls) = n.op.compose(Vector.tabulate(n.arity)(i => build(n.child(i))))
       }
       term(cls)
     }
@@ -90,8 +91,8 @@ object FreeVars {
       nodesOf(cls).foreach { n =>
         n.op match {
           case Op.Var(i) => set.set(i)
-          case op => n.children.indices.foreach { j =>
-            val child = sets(n.children(j))
+          case op => (0 until n.arity).foreach { j =>
+            val child = sets(n.child(j))
             val b = op.binds(j)
             var i = child.nextSetBit(b)
             while (i >= 0) {

@@ -28,18 +28,17 @@ object Subst {
   }
 }
 
-/** One step of a compiled pattern. [[Bind]] tries every node of the
-  * class in register `in` whose op is `op` (or satisfies `pred` when
-  * `op` is null) and has `arity` children, writing the canonical
-  * children to registers `out ..< out + arity`; with `opSlot >= 0` it
-  * also binds (or, when `bindsOp` is false, checks) a captured op.
-  * [[Compare]] requires two registers to hold the same class (a
-  * repeated metavariable). */
+/** One step of a compiled pattern. [[BindOp]] tries the nodes with op
+  * `op` of the class in register `in`, and [[BindVar]] every node whose
+  * op satisfies `pred` and has `arity` children; each writes the node's
+  * canonical children to registers `out ..< out + arity`. A [[BindVar]]
+  * also binds (or, when `bindsOp` is false, checks) the captured op in
+  * slot `opSlot`. [[Compare]] requires two registers to hold the same
+  * class (a repeated metavariable). */
 private sealed trait Instr
-private final case class Bind(in: Int, op: Op, pred: Op => Boolean, arity: Int,
-                              out: Int, opSlot: Int, bindsOp: Boolean) extends Instr {
-  def accepts(nodeOp: Op): Boolean = if (op != null) op == nodeOp else pred(nodeOp)
-}
+private final case class BindOp(in: Int, op: Op, out: Int) extends Instr
+private final case class BindVar(in: Int, pred: Op => Boolean, arity: Int,
+                                 out: Int, opSlot: Int, bindsOp: Boolean) extends Instr
 private final case class Compare(a: Int, b: Int) extends Instr
 
 /** A pattern compiled into a preorder instruction list over class
@@ -56,34 +55,57 @@ final class Program private[egraph] (
   /** The root's op, the predicate on it, or neither for a metavariable
     * root: the key of the candidate-class index. */
   private[egraph] val rootOp: Op = instrs.headOption.collect {
-    case b: Bind if b.in == 0 => b.op
+    case b: BindOp if b.in == 0 => b.op
   }.orNull
   private[egraph] val rootPred: Op => Boolean = instrs.headOption.collect {
-    case b: Bind if b.in == 0 && b.op == null => b.pred
+    case b: BindVar if b.in == 0 => b.pred
   }.orNull
 
   /** Calls `f` with every substitution under which the pattern matches
-    * class `cls`. The e-graph must not change during the search. */
-  def search(eg: EGraph, cls: Int)(f: Subst => Unit): Unit = {
+    * class `cls`, reading the nodes of each class through `index`. The
+    * e-graph must not change during the search. */
+  def search(index: OpIndex, cls: Int)(f: Subst => Unit): Unit = {
+    val eg = index.eg
     val regs = new Array[Int](nRegs)
     val ops = new Array[Op](opNames.length)
 
     def step(pc: Int): Unit =
-      if (pc == instrs.length)
-        f(new Subst(names, varRegs.map(regs(_)), opNames, ops.clone()))
-      else instrs(pc) match {
+      if (pc == instrs.length) {
+        val classes = new Array[Int](varRegs.length)
+        var i = 0
+        while (i < classes.length) {
+          classes(i) = regs(varRegs(i))
+          i += 1
+        }
+        f(new Subst(names, classes, opNames, ops.clone()))
+      } else instrs(pc) match {
         case Compare(a, b) => if (regs(a) == regs(b)) step(pc + 1)
-        case b: Bind =>
+        case b: BindOp =>
+          val g = index.group(regs(b.in), b.op)
+          if (g >= 0) {
+            var i = index.groupStart(g)
+            val end = index.groupStart(g + 1)
+            while (i < end) {
+              val n = index.groupNode(i)
+              var j = 0
+              while (j < n.arity) {
+                regs(b.out + j) = n.child(j)
+                j += 1
+              }
+              step(pc + 1)
+              i += 1
+            }
+          }
+        case b: BindVar =>
           val nodes = eg.nodes(regs(b.in))
           var i = 0
           while (i < nodes.length) {
             val n = nodes(i)
-            if (n.children.length == b.arity && b.accepts(n.op) &&
-                (b.opSlot < 0 || b.bindsOp || ops(b.opSlot) == n.op)) {
+            if (n.arity == b.arity && b.pred(n.op) && (b.bindsOp || ops(b.opSlot) == n.op)) {
               if (b.bindsOp) ops(b.opSlot) = n.op
               var j = 0
               while (j < b.arity) {
-                regs(b.out + j) = eg.find(n.children(j))
+                regs(b.out + j) = eg.find(n.child(j))
                 j += 1
               }
               step(pc + 1)
@@ -118,13 +140,13 @@ object Program {
       case PNode(op, cs) =>
         require(cs.length == op.arity, s"$op takes ${op.arity} children, not ${cs.length}")
         val out = children(cs)
-        instrs += Bind(reg, op, null, cs.length, out, -1, bindsOp = false)
+        instrs += BindOp(reg, op, out)
         cs.indices.foreach(i => go(cs(i), out + i))
       case POpVar(v, pred, cs) =>
         val out = children(cs)
         val binds = !opVars.contains(v)
         val slot = opVars.getOrElseUpdate(v, opVars.size)
-        instrs += Bind(reg, null, pred, cs.length, out, slot, binds)
+        instrs += BindVar(reg, pred, cs.length, out, slot, binds)
         cs.indices.foreach(i => go(cs(i), out + i))
     }
 
@@ -134,27 +156,84 @@ object Program {
   }
 }
 
-/** Candidate root classes of every pattern, built once per saturation
-  * iteration: for each op, the classes holding a node with that op; for
-  * each root predicate, the classes holding a node whose op satisfies
-  * it. Every list is in `ids` order, so searching a pattern's candidates
-  * finds the matches a scan of all of `ids` would, in the same order. */
-final class RootIndex(eg: EGraph, ids: Vector[Int]) {
+/** The nodes of the classes `ids` (live, in increasing order), in
+  * canonical form and grouped by op, taken once per saturation
+  * iteration, when matching starts: the e-graph does not change until
+  * every match is collected, so the snapshot is exact, and a match binds
+  * a node's children without `find`. A class's groups follow the order
+  * in which their ops first occur in the class, and each group keeps
+  * class order, so a [[BindOp]] reads only its op's group and meets the
+  * nodes a scan of the class would accept, in the same order. The groups
+  * also give every pattern its candidate root classes: for each op, the
+  * classes holding a node with that op; for each root predicate, the
+  * classes holding a node whose op satisfies it. Every list is in `ids`
+  * order, so searching a pattern's candidates finds the matches a scan
+  * of all of `ids` would, in the same order. */
+final class OpIndex(val eg: EGraph, ids: Vector[Int]) {
+  // Class `c` holds groups `firstGroup(c) until endGroup(c)`; group `g`
+  // holds the nodes with op `groupOp(g)`,
+  // `groupNode(groupStart(g) until groupStart(g + 1))`.
+  private val groupNodes = new Array[ENode](eg.nodeCount)
+  private val groupOp = mutable.ArrayBuffer.empty[Op]
+  private val groupStarts = mutable.ArrayBuffer(0)
+  private val firstGroup = new Array[Int](eg.idBound)
+  private val endGroup = new Array[Int](eg.idBound)
   private val byOp = mutable.HashMap.empty[Op, mutable.ArrayBuffer[Int]]
   private val byPred = mutable.HashMap.empty[Op => Boolean, Vector[Int]]
 
-  ids.foreach { cls =>
-    eg.nodes(cls).foreach { n =>
-      val bucket = byOp.getOrElseUpdate(n.op, mutable.ArrayBuffer.empty)
-      if (bucket.isEmpty || bucket.last != cls) bucket += cls
+  locally {
+    var canon = new Array[ENode](16) // one class's canonical nodes
+    var grouped = 0
+    ids.foreach { cls =>
+      val ns = eg.nodes(cls)
+      if (canon.length < ns.length) canon = new Array[ENode](ns.length max 2 * canon.length)
+      firstGroup(cls) = groupOp.length
+      var i = 0
+      while (i < ns.length) {
+        val n = eg.canonicalize(ns(i))
+        canon(i) = n
+        // a class has few distinct ops: a node finds its group by a scan
+        if (group(cls, groupOp.length, n.op) < 0) {
+          groupOp += n.op
+          byOp.getOrElseUpdate(n.op, mutable.ArrayBuffer.empty) += cls
+        }
+        i += 1
+      }
+      endGroup(cls) = groupOp.length
+      var g = firstGroup(cls)
+      while (g < endGroup(cls)) {
+        i = 0
+        while (i < ns.length) {
+          if (canon(i).op == groupOp(g)) {
+            groupNodes(grouped) = canon(i)
+            grouped += 1
+          }
+          i += 1
+        }
+        groupStarts += grouped
+        g += 1
+      }
     }
   }
+
+  private def group(cls: Int, end: Int, op: Op): Int = {
+    var g = firstGroup(cls)
+    while (g < end && !((groupOp(g) eq op) || groupOp(g) == op)) g += 1
+    if (g < end) g else -1
+  }
+
+  /** The group of the nodes with op `op` in class `cls` of `ids`, or -1
+    * when the class has none. */
+  private[egraph] def group(cls: Int, op: Op): Int = group(cls, endGroup(cls), op)
+  private[egraph] def groupStart(g: Int): Int = groupStarts(g)
+  private[egraph] def groupNode(i: Int): ENode = groupNodes(i)
 
   def candidates(p: Program): collection.IndexedSeq[Int] =
     if (p.rootOp != null) byOp.getOrElse(p.rootOp, Vector.empty)
     else if (p.rootPred != null)
-      byPred.getOrElseUpdate(p.rootPred,
-        ids.filter(cls => eg.nodes(cls).exists(n => p.rootPred(n.op))))
+      byPred.getOrElseUpdate(p.rootPred, ids.filter { cls =>
+        (firstGroup(cls) until endGroup(cls)).exists(g => p.rootPred(groupOp(g)))
+      })
     else ids
 }
 
@@ -163,7 +242,7 @@ object Matcher {
   /** All substitutions under which `pat` matches e-class `cls`. */
   def matches(eg: EGraph, pat: Pat, cls: Int): Seq[Subst] = {
     val out = mutable.ArrayBuffer.empty[Subst]
-    Program.compile(pat).search(eg, cls)(out += _)
+    Program.compile(pat).search(new OpIndex(eg, eg.classIds), cls)(out += _)
     out.toSeq
   }
 }

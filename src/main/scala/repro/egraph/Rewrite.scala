@@ -30,13 +30,14 @@ final class RuleCtx(val eg: EGraph, reprs: Int => Option[Expr],
   def repr(cls: Int): Expr =
     reprs(cls).getOrElse(throw new IllegalStateException(s"class $cls has no representative"))
 
-  private val facts = mutable.HashMap.empty[(Any, Int), Boolean]
+  private val facts = mutable.LongMap.empty[Boolean]
 
   /** `test` of the class's representative, decided once per class: the
     * representatives are fixed for the whole iteration, so the memo is
-    * exact. Tests with equal keys share their answers. */
-  def holds(key: Any, cls: Int)(test: Expr => Boolean): Boolean =
-    facts.getOrElseUpdate((key, cls), test(repr(cls)))
+    * exact. Tests with equal keys (see [[Rule.onRepr]]) share their
+    * answers. */
+  private[egraph] def holds(key: Int, cls: Int)(test: Expr => Boolean): Boolean =
+    facts.getOrElseUpdate((key.toLong << 32) | cls, test(repr(cls)))
 
   private val remapped = mutable.HashMap.empty[RRemap, mutable.LongMap[Int]]
 
@@ -77,11 +78,21 @@ object Rule {
     case RLit(e)   => (ctx, _) => ctx.eg.addExpr(e)
     case t: RRemap => (ctx, s) => ctx.remap(t, s(t.n))
     case RNode(op, cs @ _*) =>
-      val children = cs.toVector.map(compile)
-      (ctx, s) => ctx.eg.add(ENode(op, children.map(_(ctx, s))))
+      val children = cs.toArray.map(compile)
+      (ctx, s) => ctx.eg.add(ENode.owning(op, classes(children, ctx, s)))
     case RNodeF(opf, cs @ _*) =>
-      val children = cs.toVector.map(compile)
-      (ctx, s) => ctx.eg.add(ENode(opf(ctx, s), children.map(_(ctx, s))))
+      val children = cs.toArray.map(compile)
+      (ctx, s) => ctx.eg.add(ENode.owning(opf(ctx, s), classes(children, ctx, s)))
+  }
+
+  private def classes(children: Array[(RuleCtx, Subst) => Int], ctx: RuleCtx, s: Subst): Array[Int] = {
+    val ids = new Array[Int](children.length)
+    var i = 0
+    while (i < ids.length) {
+      ids(i) = children(i)(ctx, s)
+      i += 1
+    }
+    ids
   }
 
   /** Simple rule: pattern -> template. */
@@ -91,11 +102,17 @@ object Rule {
     Rule(name, lhs, (ctx, s) => Some(instantiate(ctx, s)), cond)
   }
 
+  /** Condition keys, each numbered once, when its condition is built. */
+  private val keyIds = mutable.HashMap.empty[Any, Int]
+
   /** Condition on the representative of the class bound to `n`,
     * memoized per class for the iteration under `key` (see
-    * [[RuleCtx.holds]]). */
-  def onRepr(n: String, key: Any)(test: (RuleCtx, Expr) => Boolean): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => ctx.holds(key, s(n))(test(ctx, _))
+    * [[RuleCtx.holds]]): conditions with equal keys share their answers,
+    * so equal keys must name equal tests. */
+  def onRepr(n: String, key: Any)(test: (RuleCtx, Expr) => Boolean): (RuleCtx, Subst) => Boolean = {
+    val id = keyIds.synchronized(keyIds.getOrElseUpdate(key, keyIds.size))
+    (ctx, s) => ctx.holds(id, s(n))(test(ctx, _))
+  }
 
   /** Condition: the matched class has a representative whose free
     * variables avoid `banned` — sound because any representative without
@@ -179,10 +196,10 @@ object Saturate {
 
       // Collect matches first (egg-style), then apply.
       val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
-      val index = new RootIndex(eg, ids)
+      val index = new OpIndex(eg, ids)
       rules.foreach { rule =>
         index.candidates(rule.program).foreach { cls =>
-          rule.program.search(eg, cls) { s =>
+          rule.program.search(index, cls) { s =>
             if (rule.cond(ctx, s)) matches += ((rule, s, cls))
           }
         }

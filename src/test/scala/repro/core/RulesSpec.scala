@@ -58,7 +58,7 @@ class RulesSpec extends AnyFunSuite {
     val repr = Extract.representatives(eg, eg.classIds)
     eg.nodes(root).toSeq.map(eg.canonicalize).distinct.flatMap { n =>
       val cs = n.children.map(repr)
-      if (cs.forall(_.isDefined)) Some(n.op.compose(cs.map(_.get))) else None
+      if (cs.forall(_.isDefined)) Some(n.op.compose(cs.map(_.get).toVector)) else None
     }
   }
 
@@ -67,7 +67,7 @@ class RulesSpec extends AnyFunSuite {
     val eg = new EGraph
     val root = eg.addExpr(witness)
     Saturate.run(eg, Seq(rule("Fold")), SatConfig(maxIters = 1))
-    eg.nodes(root).collectFirst { case ENode(Op.Num(d), _) => d }
+    eg.nodes(root).iterator.map(_.op).collectFirst { case Op.Num(d) => d }
   }
 
   private def s(n: String) = Sym(n)

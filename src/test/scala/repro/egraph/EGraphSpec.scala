@@ -64,6 +64,20 @@ class EGraphSpec extends AnyFunSuite {
       assert(eg.classCount == ids.size, s"seed $seed")
       assert(eg.nodeCount == ids.map(eg.nodes(_).size).sum, s"seed $seed")
     }
+    /** After a rebuild, every node of a live class is hash-consed, in
+      * canonical form, to that class, and no two live classes hold equal
+      * canonical nodes. */
+    def hashConsed(eg: EGraph, seed: Int): Unit = {
+      val owner = scala.collection.mutable.HashMap.empty[ENode, Int]
+      eg.classIds.foreach { cls =>
+        eg.nodes(cls).foreach { n =>
+          val canon = eg.canonicalize(n)
+          val memos = eg.memoCount
+          assert(eg.add(canon) == cls && eg.memoCount == memos, s"seed $seed: $canon")
+          assert(owner.getOrElseUpdate(canon, cls) == cls, s"seed $seed: $canon in two classes")
+        }
+      }
+    }
     (1 to 20).foreach { seed =>
       val rnd = new scala.util.Random(seed)
       val eg = new EGraph
@@ -72,16 +86,63 @@ class EGraphSpec extends AnyFunSuite {
         rnd.nextInt(10) match {
           case 0 | 1 | 2 | 3 if ids.nonEmpty =>
             val op = Seq(Op.Bin(BinOp.Add), Op.Bin(BinOp.Mul), Op.Get)(rnd.nextInt(3))
-            ids += eg.add(ENode(op, Vector(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))))
+            ids += eg.add(ENode(op, Array(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))))
           case 4 | 5 if ids.size > 1 =>
             eg.union(ids(rnd.nextInt(ids.size)), ids(rnd.nextInt(ids.size)))
-          case 6 => eg.rebuild()
-          case _ => ids += eg.add(ENode(Op.Sym(s"s${rnd.nextInt(8)}"), Vector.empty))
+          case 6 =>
+            eg.rebuild()
+            hashConsed(eg, seed)
+          case _ => ids += eg.add(ENode(Op.Sym(s"s${rnd.nextInt(8)}"), Array.empty[Int]))
         }
         check(eg, seed)
       }
       eg.rebuild()
       check(eg, seed)
+      hashConsed(eg, seed)
+    }
+  }
+
+  test("e-nodes are equal, and hash alike, exactly when their ops and children are") {
+    val cs = Array(3, 5)
+    val n = ENode(Op.Bin(BinOp.Add), cs)
+    val same = ENode(Op.Bin(BinOp.Add), Array(3, 5))
+    assert(n == same && n.hashCode == same.hashCode)
+    assert(n != ENode(Op.Bin(BinOp.Add), Array(5, 3)) && n != ENode(Op.Bin(BinOp.Mul), Array(3, 5)))
+    assert(ENode(Op.Num(0.0), Array.empty[Int]) != ENode(Op.Num(-0.0), Array.empty[Int]))
+    // the node copies the caller's array
+    cs(0) = 4
+    assert(n.children == Seq(3, 5) && n == same && n.hashCode == same.hashCode)
+    // a node whose children are canonical is its own canonical form
+    val eg = new EGraph
+    val a = eg.addExpr(Sym("a"))
+    val b = eg.addExpr(Sym("b"))
+    val ab = ENode(Op.Get, Array(a, b))
+    assert(eg.canonicalize(ab) eq ab)
+    eg.union(b, eg.addExpr(Sym("c")))
+    eg.union(a, b)
+    assert(eg.canonicalize(ab) == ENode(Op.Get, Array(eg.find(a), eg.find(a))))
+  }
+
+  test("addExpr adds a 7,000-deep term bottom-up on a 256 KB thread stack") {
+    val depth = 7000
+    val chain = (1 to depth).foldLeft(Sym("a0"): Expr)((acc, i) => Bin(BinOp.Add, acc, Num(i)))
+    var result: Either[Throwable, (Int, EGraph)] = Left(new IllegalStateException("not run"))
+    val thread = new Thread(null, () => {
+      result =
+        try {
+          val eg = new EGraph
+          Right((eg.addExpr(chain), eg))
+        } catch { case e: Throwable => Left(e) }
+    }, "deep-addExpr", 256 * 1024)
+    thread.start()
+    thread.join()
+    val (root, eg) = result.fold(e => fail(s"addExpr failed: $e"), identity)
+    // ids in post-order: a0, then each level's literal and its +
+    assert(root == 2 * depth && eg.classCount == 2 * depth + 1)
+    assert(eg.nodes(0).map(_.op) == Seq(Op.Sym("a0")))
+    (1 to depth).foreach { i =>
+      assert(eg.nodes(2 * i - 1).map(_.op) == Seq(Op.Num(i.toDouble)))
+      assert(eg.nodes(2 * i).map(_.children) == Seq(Seq(2 * i - 2, 2 * i - 1)))
     }
   }
 

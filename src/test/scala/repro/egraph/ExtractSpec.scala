@@ -31,7 +31,7 @@ class ExtractSpec extends AnyFunSuite {
   test("a class with one cyclic and one finite node gets the finite one") {
     val eg = new EGraph
     val a = eg.addExpr(Sym("a"))
-    val plus = eg.add(ENode(Op.Bin(BinOp.Add), Vector(a, eg.addExpr(Num(1)))))
+    val plus = eg.add(ENode(Op.Bin(BinOp.Add), Array(a, eg.addExpr(Num(1)))))
     eg.union(a, plus) // a = a + 1: the class now holds `a` and a node on itself
     eg.rebuild()
     val cls = eg.find(a)
@@ -47,7 +47,7 @@ class ExtractSpec extends AnyFunSuite {
     val loop = eg.addExpr(add(Sym("a"), Num(1)))
     // `add` and `union` always leave a class a finite term, so the class
     // table is written directly: the class's only node is loop + 1
-    eg.setNodes(loop, Seq(ENode(Op.Bin(BinOp.Add), Vector(loop, one))))
+    eg.setNodes(loop, Seq(ENode(Op.Bin(BinOp.Add), Array(loop, one))))
     val repr = Extract.representatives(eg, eg.classIds)
     assert(repr(loop).isEmpty && repr(one).contains(Num(1)))
     val ctx = new RuleCtx(eg, repr)
@@ -158,7 +158,7 @@ class ExtractSpec extends AnyFunSuite {
     // each pass through the sum moves 7 down to 5, 3 and 1
     val eg = new EGraph
     val x = eg.addExpr(add(Vr(0), Vr(7)))
-    eg.union(x, eg.add(ENode(Op.Sum, Vector(eg.addExpr(Sym("c")), x))))
+    eg.union(x, eg.add(ENode(Op.Sum, Array(eg.addExpr(Sym("c")), x))))
     eg.rebuild()
     val cls = eg.find(x)
     assert(eg.nodes(cls).exists(_.children.contains(cls)))

@@ -38,7 +38,7 @@ object RecursiveMatcher {
   private def nodesOf(eg: EGraph, cls: Int): Seq[ENode] =
     eg.nodes(cls).toSeq
 
-  private def goChildren(eg: EGraph, pats: Vector[Pat], kids: Vector[Int],
+  private def goChildren(eg: EGraph, pats: Vector[Pat], kids: Seq[Int],
                          s: Binding): Seq[Binding] =
     if (pats.length != kids.length) Seq.empty
     else pats.zip(kids).foldLeft(Seq(s)) { case (acc, (p, c)) =>
@@ -89,13 +89,13 @@ class MatcherSpec extends AnyFunSuite {
       Saturate.run(eg, Rules.physicalStage, SatConfig(maxIters = 3, maxNodes = 100000,
         timeoutMs = 600000), Set("beta"))
       val ids = eg.classIds
-      val index = new RootIndex(eg, ids)
+      val index = new OpIndex(eg, ids)
       var total = 0
       rules.foreach { rule =>
         val expected = ids.flatMap(c => RecursiveMatcher.matches(eg, rule.lhs, c).map(c -> _))
         val got = mutable.ArrayBuffer.empty[(Int, Binding)]
         index.candidates(rule.program).foreach { c =>
-          rule.program.search(eg, c)(s => got += (c -> binding(rule.lhs, s)))
+          rule.program.search(index, c)(s => got += (c -> binding(rule.lhs, s)))
         }
         assert(got.toSeq == expected, s"rule ${rule.name} on $name")
         total += expected.size
@@ -104,12 +104,46 @@ class MatcherSpec extends AnyFunSuite {
     }
   }
 
+  test("child binds list a mixed class's matches in class order, by op or op variable") {
+    val eg = new EGraph
+    val mixed = Seq[Expr](
+      Dict(Sym("k"), Num(1)), Bin(BinOp.Mul, Sym("a"), Sym("b")),
+      Dict(Sym("k"), Num(2), unique = true, Phys.PLog), Bin(BinOp.Add, Sym("a"), Sym("b")),
+      Dict(Sym("k"), Num(3), phys = Phys.PHash), Bin(BinOp.Mul, Sym("c"), Sym("d")),
+      Dict(Sym("k"), Num(4))).map(eg.addExpr)
+    mixed.foreach(eg.union(mixed.head, _))
+    eg.rebuild()
+    val cls = eg.find(mixed.head)
+    assert(eg.nodes(cls).map(_.op.getClass).distinct.size == 2 && eg.nodes(cls).size == mixed.size)
+    eg.addExpr(Get(Sym("t"), Sym("a")))
+    val get = eg.add(ENode(Op.Get, Array(eg.addExpr(Sym("t")), cls)))
+    eg.rebuild()
+    val logDict: Op => Boolean = {
+      case Op.Dict(_, Phys.PLog) => true
+      case _ => false
+    }
+    val byOp = PNode(Op.Get, Vector(PVar("t"),
+      PNode(Op.Bin(BinOp.Mul), Vector(PVar("x"), PVar("y")))))
+    val byOpVar = PNode(Op.Get, Vector(PVar("t"),
+      POpVar("d", logDict, Vector(PVar("k"), PVar("v")))))
+    val ids = eg.classIds
+    val index = new OpIndex(eg, ids)
+    Seq(byOp -> 2, byOpVar -> 3).foreach { case (pat, count) =>
+      val prog = Program.compile(pat)
+      val expected = ids.flatMap(c => RecursiveMatcher.matches(eg, pat, c).map(c -> _))
+      val got = mutable.ArrayBuffer.empty[(Int, Binding)]
+      index.candidates(prog).foreach(c => prog.search(index, c)(s => got += (c -> binding(pat, s))))
+      assert(got.toSeq == expected && expected.size == count, pat)
+      assert(expected.forall(_._1 == eg.find(get)))
+    }
+  }
+
   test("a pattern whose root is a metavariable matches every class once") {
     val eg = new EGraph
     eg.addExpr(Bin(BinOp.Add, Sym("a"), Num(0)))
     val prog = Program.compile(PVar("x"))
     val ids = eg.classIds
-    val got = new RootIndex(eg, ids).candidates(prog).flatMap(c => Matcher.matches(eg, PVar("x"), c))
+    val got = new OpIndex(eg, ids).candidates(prog).flatMap(c => Matcher.matches(eg, PVar("x"), c))
     assert(got.map(_("x")) == ids)
   }
 
