@@ -212,16 +212,11 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
       def ops(i: Int): Iterator[Op] = eg.nodes(n.child(i)).iterator.map(_.op)
     }
 
-    // Every class's canonicalized distinct nodes, by class id: the search reads them all.
-    val ids = eg.classIds
-    val nodesOf = new Array[Vector[ENode]](eg.idBound)
-    ids.foreach(cid => nodesOf(cid) = eg.nodes(cid).iterator.map(eg.canonicalize).toVector.distinct)
-
     // ---- free variables per class ------------------------------------------
     // Memo keys in the search are restricted to the env entries a class can
     // actually read; otherwise path-dependent env chains explode the
     // (class, env) space.
-    val fv = FreeVars(ids, nodesOf)
+    val fv = FreeVars(eg)
 
     // A class may be reached at a shallower depth than some of its nodes
     // can be costed at: a rule such as `a*0 → 0` unions a node that reads a
@@ -245,7 +240,7 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
         case Some(r) => r
         case None =>
           if (!visiting.add(cls)) return None // cycle
-          val candidates = nodesOf(cls)
+          val candidates = eg.nodes(cls)
             .flatMap(n => nodeCost(n.op, env, new ClassChildren(n, bestLu))
               .map { case (card, cost) => (card, cost, n) })
           visiting.remove(cls)

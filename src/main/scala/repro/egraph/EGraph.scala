@@ -99,7 +99,8 @@ final class EGraph {
   /** The size of a table indexed by class id: one more than the largest. */
   def idBound: Int = parent.length
 
-  /** The e-nodes of the class of `id`, as inserted (not canonicalized). */
+  /** The e-nodes of the class of `id`: canonical whenever no union is
+    * pending, that is, after [[rebuild]] or after `add` alone. */
   def nodes(id: Int): collection.IndexedSeq[ENode] = classes(find(id))
 
   /** Replaces the nodes of live class `cls`, with no other upkeep, so a
@@ -163,13 +164,16 @@ final class EGraph {
   /** Restore congruence: re-canonicalize parent nodes of merged classes
     * and union classes whose nodes became identical. Every step visits
     * nodes in list order and keeps first occurrences, so the unions it
-    * makes, and the ids they keep, do not depend on how nodes hash. */
+    * makes, and the ids they keep, do not depend on how nodes hash.
+    * Then every live class's nodes are made canonical in place, keeping
+    * the duplicates this makes, which [[nodeCount]] counts. */
   def rebuild(): Unit = {
     while (worklist.nonEmpty) {
       val todo = worklist.distinct.map(find).toVector
       worklist.clear()
       todo.foreach(repair)
     }
+    classIds.foreach(cls => classes(cls).mapInPlace(canonicalize))
   }
 
   private def repair(id0: Int): Unit = {

@@ -31,9 +31,9 @@ object Subst {
 /** One step of a compiled pattern. [[BindOp]] tries the nodes with op
   * `op` of the class in register `in`, and [[BindVar]] every node whose
   * op satisfies `pred` and has `arity` children; each writes the node's
-  * canonical children to registers `out ..< out + arity`. A [[BindVar]]
-  * also binds (or, when `bindsOp` is false, checks) the captured op in
-  * slot `opSlot`. [[Compare]] requires two registers to hold the same
+  * children to registers `out ..< out + arity`. A [[BindVar]] also
+  * binds (or, when `bindsOp` is false, checks) the captured op in slot
+  * `opSlot`. [[Compare]] requires two registers to hold the same
   * class (a repeated metavariable). */
 private sealed trait Instr
 private final case class BindOp(in: Int, op: Op, out: Int) extends Instr
@@ -105,7 +105,7 @@ final class Program private[egraph] (
               if (b.bindsOp) ops(b.opSlot) = n.op
               var j = 0
               while (j < b.arity) {
-                regs(b.out + j) = eg.find(n.child(j))
+                regs(b.out + j) = n.child(j)
                 j += 1
               }
               step(pc + 1)
@@ -156,14 +156,14 @@ object Program {
   }
 }
 
-/** The nodes of the classes `ids` (live, in increasing order), in
-  * canonical form and grouped by op, taken once per saturation
-  * iteration, when matching starts: the e-graph does not change until
-  * every match is collected, so the snapshot is exact, and a match binds
-  * a node's children without `find`. A class's groups follow the order
-  * in which their ops first occur in the class, and each group keeps
-  * class order, so a [[BindOp]] reads only its op's group and meets the
-  * nodes a scan of the class would accept, in the same order. The groups
+/** The nodes of the classes `ids` (live, in increasing order, of an
+  * e-graph with no union pending, so that every node is canonical),
+  * grouped by op, taken once per saturation iteration, when matching
+  * starts: the e-graph does not change until every match is collected,
+  * so the snapshot is exact. A class's groups follow the order in which
+  * their ops first occur in the class, and each group keeps class
+  * order, so a [[BindOp]] reads only its op's group and meets the nodes
+  * a scan of the class would accept, in the same order. The groups
   * also give every pattern its candidate root classes: for each op, the
   * classes holding a node with that op; for each root predicate, the
   * classes holding a node whose op satisfies it. Every list is in `ids`
@@ -182,16 +182,13 @@ final class OpIndex(val eg: EGraph, ids: Vector[Int]) {
   private val byPred = mutable.HashMap.empty[Op => Boolean, Vector[Int]]
 
   locally {
-    var canon = new Array[ENode](16) // one class's canonical nodes
     var grouped = 0
     ids.foreach { cls =>
       val ns = eg.nodes(cls)
-      if (canon.length < ns.length) canon = new Array[ENode](ns.length max 2 * canon.length)
       firstGroup(cls) = groupOp.length
       var i = 0
       while (i < ns.length) {
-        val n = eg.canonicalize(ns(i))
-        canon(i) = n
+        val n = ns(i)
         // a class has few distinct ops: a node finds its group by a scan
         if (group(cls, groupOp.length, n.op) < 0) {
           groupOp += n.op
@@ -204,8 +201,8 @@ final class OpIndex(val eg: EGraph, ids: Vector[Int]) {
       while (g < endGroup(cls)) {
         i = 0
         while (i < ns.length) {
-          if (canon(i).op == groupOp(g)) {
-            groupNodes(grouped) = canon(i)
+          if (ns(i).op == groupOp(g)) {
+            groupNodes(grouped) = ns(i)
             grouped += 1
           }
           i += 1

@@ -56,7 +56,7 @@ class RulesSpec extends AnyFunSuite {
     * their smallest representatives). */
   private def variantsOf(eg: EGraph, root: Int): Seq[Expr] = {
     val repr = Extract.representatives(eg, eg.classIds)
-    eg.nodes(root).toSeq.map(eg.canonicalize).distinct.flatMap { n =>
+    eg.nodes(root).toSeq.distinct.flatMap { n =>
       val cs = n.children.map(repr)
       if (cs.forall(_.isDefined)) Some(n.op.compose(cs.map(_.get).toVector)) else None
     }

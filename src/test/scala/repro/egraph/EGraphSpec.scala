@@ -64,17 +64,17 @@ class EGraphSpec extends AnyFunSuite {
       assert(eg.classCount == ids.size, s"seed $seed")
       assert(eg.nodeCount == ids.map(eg.nodes(_).size).sum, s"seed $seed")
     }
-    /** After a rebuild, every node of a live class is hash-consed, in
-      * canonical form, to that class, and no two live classes hold equal
-      * canonical nodes. */
+    /** After a rebuild, every node of a live class is canonical and
+      * hash-consed to that class, and no two live classes hold equal
+      * nodes. */
     def hashConsed(eg: EGraph, seed: Int): Unit = {
       val owner = scala.collection.mutable.HashMap.empty[ENode, Int]
       eg.classIds.foreach { cls =>
         eg.nodes(cls).foreach { n =>
-          val canon = eg.canonicalize(n)
+          assert(eg.canonicalize(n) eq n, s"seed $seed: $n is not canonical")
           val memos = eg.memoCount
-          assert(eg.add(canon) == cls && eg.memoCount == memos, s"seed $seed: $canon")
-          assert(owner.getOrElseUpdate(canon, cls) == cls, s"seed $seed: $canon in two classes")
+          assert(eg.add(n) == cls && eg.memoCount == memos, s"seed $seed: $n")
+          assert(owner.getOrElseUpdate(n, cls) == cls, s"seed $seed: $n in two classes")
         }
       }
     }
@@ -126,17 +126,10 @@ class EGraphSpec extends AnyFunSuite {
   test("addExpr adds a 7,000-deep term bottom-up on a 256 KB thread stack") {
     val depth = 7000
     val chain = (1 to depth).foldLeft(Sym("a0"): Expr)((acc, i) => Bin(BinOp.Add, acc, Num(i)))
-    var result: Either[Throwable, (Int, EGraph)] = Left(new IllegalStateException("not run"))
-    val thread = new Thread(null, () => {
-      result =
-        try {
-          val eg = new EGraph
-          Right((eg.addExpr(chain), eg))
-        } catch { case e: Throwable => Left(e) }
-    }, "deep-addExpr", 256 * 1024)
-    thread.start()
-    thread.join()
-    val (root, eg) = result.fold(e => fail(s"addExpr failed: $e"), identity)
+    val (root, eg) = EGraphSpec.onSmallStack("deep-addExpr") {
+      val eg = new EGraph
+      (eg.addExpr(chain), eg)
+    }.fold(e => fail(s"addExpr failed: $e"), identity)
     // ids in post-order: a0, then each level's literal and its +
     assert(root == 2 * depth && eg.classCount == 2 * depth + 1)
     assert(eg.nodes(0).map(_.op) == Seq(Op.Sym("a0")))
@@ -330,5 +323,18 @@ class EGraphSpec extends AnyFunSuite {
     assert(ctx.remap(template, x) == eg.find(first))
     assert(next.remap(template, x) == eg.find(eg.addExpr(Vr(3))))
     assert(eg.find(eg.addExpr(Vr(3))) != eg.find(first))
+  }
+}
+
+object EGraphSpec {
+  /** `f`, run on a new thread with a 256 KB stack, or what it threw. */
+  def onSmallStack[A](name: String)(f: => A): Either[Throwable, A] = {
+    var result: Either[Throwable, A] = Left(new IllegalStateException("not run"))
+    val thread = new Thread(null, () => {
+      result = try Right(f) catch { case e: Throwable => Left(e) }
+    }, name, 256 * 1024)
+    thread.start()
+    thread.join()
+    result
   }
 }

@@ -28,6 +28,27 @@ class ExtractSpec extends AnyFunSuite {
     assert(Extract.representatives(eg, eg.classIds)(eg.find(big)).contains(Sym("a")))
   }
 
+  test("representatives builds a 7,000-deep term on a 256 KB thread stack, sharing subterms") {
+    val depth = 7000
+    val chain = (1 to depth).foldLeft(Sym("a0"): Expr)((acc, i) => add(acc, Num(i)))
+    val eg = new EGraph
+    val root = eg.addExpr(chain)
+    val repr = Extract.representatives(eg, eg.classIds)
+    val term = EGraphSpec.onSmallStack("deep-representatives")(repr(root))
+      .fold(e => fail(s"representatives failed: $e"), identity)
+    // Expr's equals and toString recurse, so the chain is walked by hand.
+    // Ids are in post-order: a0, then each level's literal and its +; the
+    // term of each level's left child is the one built for its class.
+    var e = term.getOrElse(fail("no term for the root"))
+    (depth to 1 by -1).foreach { i =>
+      e match {
+        case Bin(BinOp.Add, left, Num(v)) if v == i && repr(2 * i - 2).exists(_ eq left) => e = left
+        case _ => fail(s"level $i is not the + of the level below and $i")
+      }
+    }
+    assert(e == Sym("a0"))
+  }
+
   test("a class with one cyclic and one finite node gets the finite one") {
     val eg = new EGraph
     val a = eg.addExpr(Sym("a"))
@@ -113,8 +134,9 @@ class ExtractSpec extends AnyFunSuite {
     table.toMap
   }
 
-  /** Every class's canonicalized distinct nodes, indexed by class id, as
-    * extraction reads them. */
+  /** Every class's canonicalized distinct nodes, indexed by class id:
+    * the oracle canonicalizes for itself, so that it does not rest on the
+    * invariant `rebuild` keeps. */
   private def nodesOf(eg: EGraph): Array[Vector[ENode]] = {
     val table = new Array[Vector[ENode]](eg.idBound)
     eg.classIds.foreach { cid =>
@@ -123,14 +145,12 @@ class ExtractSpec extends AnyFunSuite {
     table
   }
 
-  private def freeVars(eg: EGraph): FreeVars = FreeVars(eg.classIds, nodesOf(eg))
-
   /** [[FreeVars]] selects, for every class, the entries at the oracle's
     * indices, in order; some class has one. */
   private def assertOracleFreeVars(eg: EGraph): Unit = {
     val ids = eg.classIds
     val oracle = freeVarSets(ids, nodesOf(eg))
-    val fv = freeVars(eg)
+    val fv = FreeVars(eg)
     val env = List.range(0, 1000)
     val indices = ids.flatMap(oracle.getOrElse(_, Set.empty))
     assert(indices.nonEmpty && indices.forall(_ < env.length))
@@ -163,7 +183,7 @@ class ExtractSpec extends AnyFunSuite {
     val cls = eg.find(x)
     assert(eg.nodes(cls).exists(_.children.contains(cls)))
     assertOracleFreeVars(eg)
-    assert(freeVars(eg).select(cls, List.range(0, 10)) == List(0, 1, 3, 5, 7))
+    assert(FreeVars(eg).select(cls, List.range(0, 10)) == List(0, 1, 3, 5, 7))
   }
 
   test("free-variable bits cross the 64-bit word boundary") {
@@ -175,7 +195,7 @@ class ExtractSpec extends AnyFunSuite {
     val eg = new EGraph
     val root = eg.addExpr(term)
     assertOracleFreeVars(eg)
-    val fv = freeVars(eg)
+    val fv = FreeVars(eg)
     assert(fv.select(root, List.range(0, 100)) == List(0, 5, 63, 70))
     // an environment shorter than the free indices selects those it holds
     assert(fv.select(root, List.range(0, 64)) == List(0, 5, 63))
