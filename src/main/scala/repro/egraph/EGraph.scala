@@ -75,8 +75,6 @@ final class EGraph {
 
   /** Total distinct e-nodes ever memoized (Table 4's "Memos" column). */
   var memoCount: Long = 0L
-  /** Bumped on every union — lets cached analyses invalidate. */
-  var version: Long = 0L
   /** E-nodes across all classes, and live classes: counted as they
     * change, so that reading them costs nothing. */
   private var nodeTotal = 0
@@ -92,6 +90,7 @@ final class EGraph {
   }
 
   private val findF: Int => Int = find
+  private val stale: ENode => Boolean = n => canonicalize(n) ne n
 
   /** `n` with canonical children: `n` itself when they already are. */
   def canonicalize(n: ENode): ENode = n.map(findF)
@@ -99,8 +98,8 @@ final class EGraph {
   /** The size of a table indexed by class id: one more than the largest. */
   def idBound: Int = parent.length
 
-  /** The e-nodes of the class of `id`: canonical whenever no union is
-    * pending, that is, after [[rebuild]] or after `add` alone. */
+  /** The e-nodes of the class of `id`: distinct and canonical whenever
+    * no union is pending, that is, after [[rebuild]] or after `add` alone. */
   def nodes(id: Int): collection.IndexedSeq[ENode] = classes(find(id))
 
   /** Replaces the nodes of live class `cls`, with no other upkeep, so a
@@ -120,6 +119,8 @@ final class EGraph {
     ids.result()
   }
 
+  /** The e-nodes held by the live classes; after [[rebuild]], the
+    * distinct ones, as egg counts them. */
   def nodeCount: Int = nodeTotal
   def classCount: Int = live
 
@@ -148,7 +149,6 @@ final class EGraph {
   def union(a0: Int, b0: Int): Int = {
     val a = find(a0); val b = find(b0)
     if (a == b) return a
-    version += 1
     // merge smaller class into larger
     val (big, small) = if (classes(a).size >= classes(b).size) (a, b) else (b, a)
     parent(small) = big
@@ -161,19 +161,26 @@ final class EGraph {
     big
   }
 
-  /** Restore congruence: re-canonicalize parent nodes of merged classes
-    * and union classes whose nodes became identical. Every step visits
-    * nodes in list order and keeps first occurrences, so the unions it
-    * makes, and the ids they keep, do not depend on how nodes hash.
-    * Then every live class's nodes are made canonical in place, keeping
-    * the duplicates this makes, which [[nodeCount]] counts. */
+  /** Restore congruence in egg's two phases (Willsey et al., POPL 2021,
+    * §3): re-canonicalize the parent nodes of merged classes and union
+    * classes whose nodes became identical; then, in id order, make every
+    * live class's nodes canonical and drop the copies, keeping first
+    * occurrences. Every step visits nodes in list order, so neither the
+    * unions, the ids they keep nor a class's node order depend on hashing. */
   def rebuild(): Unit = {
     while (worklist.nonEmpty) {
       val todo = worklist.distinct.map(find).toVector
       worklist.clear()
       todo.foreach(repair)
     }
-    classIds.foreach(cls => classes(cls).mapInPlace(canonicalize))
+    // a class holds two equal nodes only if one of them has just changed
+    classIds.foreach { cls =>
+      val ns = classes(cls)
+      if (ns.exists(stale)) {
+        classes(cls) = ns.map(canonicalize).distinct
+        nodeTotal += classes(cls).size - ns.size
+      }
+    }
   }
 
   private def repair(id0: Int): Unit = {
@@ -199,16 +206,6 @@ final class EGraph {
     // the unions above may have merged the class away: work on its root
     val cid = find(id0)
     parents(cid) ++= newParents.iterator.map { case (n, c) => (n, find(c)) }
-    // dedupe the class's own nodes after canonicalization
-    val ns = classes(cid)
-    val canon = ns.map(canonicalize).distinct
-    nodeTotal += canon.size - ns.size
-    classes(cid) = mutable.ArrayBuffer.from(canon)
-    canon.foreach { n =>
-      val other = hashcons.getOrElse(n, -1)
-      if (other >= 0 && find(other) != cid) union(other, cid)
-      else hashcons(n) = cid
-    }
   }
 
   // ---- Expr <-> e-graph -----------------------------------------------------

@@ -190,8 +190,8 @@ object Saturate {
       lap()
       val ids = eg.classIds
       val ctx = new RuleCtx(eg, Extract.representatives(eg, ids), symIsScalar)
-      val versionBefore = eg.version
       val memoBefore = eg.memoCount
+      val classesBefore = eg.classCount
       reprNs += lap()
 
       // Collect matches first (egg-style), then apply.
@@ -212,7 +212,8 @@ object Saturate {
       applyNs += lap()
       eg.rebuild()
       rebuildNs += lap()
-      eg.version != versionBefore || eg.memoCount != memoBefore
+      // with no new memo, the class count moves exactly when a union did
+      eg.memoCount != memoBefore || eg.classCount != classesBefore
     }
 
     @tailrec def loop(iter: Int): (Int, RunStats.Stop) =

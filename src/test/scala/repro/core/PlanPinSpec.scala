@@ -29,7 +29,7 @@ class PlanPinSpec extends AnyFunSuite {
     assert(got == Seq(
       "BATAX/CSR,Dense" -> "986bb6b3d7f4",
       "SumMMM/CSC,CSR" -> "20993da778f6",
-      "MTTKRP/CSF,CSR,CSC" -> "6f2ee6858560",
+      "MTTKRP/CSF,CSR,CSC" -> "77c533e68cb5",
       "MMM/CSR,CSR" -> "fc3b92091e88",
       "TTM/CSF,CSC" -> "e549996bdb65"))
   }

@@ -65,12 +65,16 @@ class EGraphSpec extends AnyFunSuite {
       assert(eg.nodeCount == ids.map(eg.nodes(_).size).sum, s"seed $seed")
     }
     /** After a rebuild, every node of a live class is canonical and
-      * hash-consed to that class, and no two live classes hold equal
-      * nodes. */
+      * hash-consed to that class, no live class holds a node twice, and
+      * no two live classes hold equal nodes; so `nodeCount` counts
+      * distinct nodes. */
     def hashConsed(eg: EGraph, seed: Int): Unit = {
       val owner = scala.collection.mutable.HashMap.empty[ENode, Int]
+      assert(eg.nodeCount == eg.classIds.map(eg.nodes(_).distinct.size).sum, s"seed $seed")
       eg.classIds.foreach { cls =>
-        eg.nodes(cls).foreach { n =>
+        val ns = eg.nodes(cls)
+        assert(ns.distinct == ns, s"seed $seed: class $cls holds ${ns.diff(ns.distinct)} twice")
+        ns.foreach { n =>
           assert(eg.canonicalize(n) eq n, s"seed $seed: $n is not canonical")
           val memos = eg.memoCount
           assert(eg.add(n) == cls && eg.memoCount == memos, s"seed $seed: $n")
